@@ -1,7 +1,7 @@
 //! The two-level coherent cache hierarchy.
 
 use crate::array::CacheArray;
-use ar_types::config::CacheConfig;
+use ar_types::config::{CacheConfig, MAX_CORES};
 use ar_types::hash::FastHashMap;
 use ar_types::json::{Json, JsonError};
 use ar_types::Addr;
@@ -87,17 +87,14 @@ impl CacheStats {
 }
 
 /// Directory entry: which cores hold the block in their L1. A fixed
-/// four-word bitmask covers machines up to 256 cores (the weak-scaling
+/// bitmask covers machines up to [`MAX_CORES`] cores (the weak-scaling
 /// configuration has 160) without a heap allocation per entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
-    sharers: [u64; 4],
+    sharers: [u64; MAX_CORES / 64],
 }
 
 impl DirEntry {
-    /// Largest core index the mask can represent, checked at construction.
-    const CAPACITY: usize = 256;
-
     fn add(&mut self, core: usize) {
         self.sharers[core / 64] |= 1 << (core % 64);
     }
@@ -138,11 +135,7 @@ pub struct CacheHierarchy {
 impl CacheHierarchy {
     /// Builds the hierarchy for `cores` cores with the given configuration.
     pub fn new(cores: usize, cfg: &CacheConfig) -> Self {
-        assert!(
-            cores <= DirEntry::CAPACITY,
-            "the directory sharer mask supports at most {} cores",
-            DirEntry::CAPACITY
-        );
+        assert!(cores <= MAX_CORES, "the directory sharer mask supports at most {MAX_CORES} cores");
         let bank_bytes = (cfg.l2_bytes / cfg.l2_banks).max(cfg.block_bytes * cfg.l2_ways);
         CacheHierarchy {
             l1: (0..cores)

@@ -33,7 +33,7 @@ pub mod mi;
 
 pub use core_model::{
     offload_command_from_json, offload_command_to_json, Core, CoreOutput, MemAccess, MemAccessKind,
-    OffloadDrainOutcome, OffloadDrainProbe, StallBreakdown, StallCause,
+    StallBreakdown, StallCause,
 };
 pub use fastforward::{MIN_SKIPPED_CYCLES, PROFITABLE_BLOCK_INSNS};
 pub use mi::{MessageInterface, OffloadCommand, OffloadKind};

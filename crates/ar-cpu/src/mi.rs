@@ -63,16 +63,8 @@ impl MessageInterface {
     /// Panics if `depth` is zero.
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "MI queue depth must be non-zero");
-        // One slot of headroom over the configured depth: the offload-drain
-        // replay (`push_unchecked`) may transiently overfill the queue
-        // between its push and pop loops, and the reserve keeps even that
-        // path off the allocator.
-        MessageInterface {
-            queue: VecDeque::with_capacity(depth + 1),
-            depth,
-            accepted: 0,
-            rejected: 0,
-        }
+        // Reserved up front so the hot path never touches the allocator.
+        MessageInterface { queue: VecDeque::with_capacity(depth), depth, accepted: 0, rejected: 0 }
     }
 
     /// Returns true if another command can be accepted.
@@ -90,19 +82,6 @@ impl MessageInterface {
         self.accepted += 1;
         self.queue.push_back(cmd);
         true
-    }
-
-    /// Enqueues a command without a capacity check, counting it as accepted.
-    ///
-    /// Only the offload-drain fast-forward commit uses this: it replays a
-    /// planned window's pushes and pops in bulk, so the queue may transiently
-    /// exceed `depth` between the push loop and the pop loop. Every push it
-    /// replays was verified admissible by the planner (the per-cycle path
-    /// only pushes after [`MessageInterface::has_space`]), so the rejected
-    /// counter must not move.
-    pub(crate) fn push_unchecked(&mut self, cmd: OffloadCommand) {
-        self.accepted += 1;
-        self.queue.push_back(cmd);
     }
 
     /// Removes the oldest queued command.

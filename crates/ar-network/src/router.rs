@@ -249,30 +249,6 @@ impl MemoryNetwork {
         Some(self.pool.free(r))
     }
 
-    /// Removes and returns a cube's entire delivery queue in arrival order —
-    /// the per-shard inbox handed to the cube's tick job when cube shards
-    /// run on worker threads. Equivalent to calling
-    /// [`MemoryNetwork::pop_at_cube`] until it returns `None`.
-    pub fn take_at_cube(&mut self, cube: CubeId) -> VecDeque<Packet> {
-        let mut queue = VecDeque::new();
-        self.drain_at_cube_into(cube, &mut queue);
-        queue
-    }
-
-    /// Drains a cube's delivery queue into `inbox` in arrival order, moving
-    /// each packet out of the pool. The allocation-free form of
-    /// [`MemoryNetwork::take_at_cube`] for a driver that recycles per-cube
-    /// inbox buffers every cycle: `inbox` keeps its spare capacity and the
-    /// pool recycles the slots.
-    pub fn drain_at_cube_into(&mut self, cube: CubeId, inbox: &mut VecDeque<Packet>) {
-        let Self { pool, delivered_cube, delivered, .. } = self;
-        let queue = &mut delivered_cube[cube.index()];
-        *delivered -= queue.len();
-        while let Some(r) = queue.pop_front() {
-            inbox.push_back(pool.free(r));
-        }
-    }
-
     /// Removes the next packet delivered at a host port, if any. The packet
     /// moves out of the pool and its slot is recycled.
     pub fn pop_at_host(&mut self, port: PortId) -> Option<Packet> {
@@ -302,37 +278,6 @@ impl MemoryNetwork {
     /// Slots the in-flight packet pool has grown to (live + free).
     pub fn pool_capacity(&self) -> usize {
         self.pool.capacity()
-    }
-
-    /// Returns true if any delivery queue (cube or host) holds an undrained
-    /// packet.
-    pub fn has_pending_delivery(&self) -> bool {
-        self.delivered > 0
-    }
-
-    /// Per-cube lower bounds on when in-flight traffic could next reach each
-    /// cube, for conservative cross-cycle horizons.
-    ///
-    /// Fills `earliest_cube[c]` (which must have one slot per cube, and is
-    /// reset to `Cycle::MAX` first) with the earliest scheduled arrival on
-    /// any link *into* cube `c` — a packet cannot enter cube `c` before it
-    /// arrives there. Returns the earliest scheduled arrival anywhere in the
-    /// network: a packet arriving at any *other* node needs at least one
-    /// more full hop before it can reach a given cube, so
-    /// `global_min + hop_latency` bounds its influence. `None` when no
-    /// packet is on a link.
-    pub fn inflight_arrival_bounds(&self, earliest_cube: &mut [Cycle]) -> Option<Cycle> {
-        debug_assert_eq!(earliest_cube.len(), self.topology.cubes());
-        earliest_cube.fill(Cycle::MAX);
-        let mut global: Option<Cycle> = None;
-        for (at, &(_, dst)) in self.arrivals.iter() {
-            global = Some(global.map_or(at, |g| g.min(at)));
-            if let NetNode::Cube(c) = dst {
-                let slot = &mut earliest_cube[c.index()];
-                *slot = (*slot).min(at);
-            }
-        }
-        global
     }
 
     /// Returns true if nothing is queued or in flight.
@@ -643,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn take_at_cube_drains_the_whole_delivery_queue_in_order() {
+    fn pop_at_cube_drains_the_delivery_queue_in_order() {
         let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 16);
         for id in 0..4 {
             // Zero-hop self-delivery lands in the queue immediately.
@@ -657,40 +602,11 @@ mod tests {
             net.inject(0, p);
         }
         assert!(net.has_delivery_at_cube(CubeId::new(2)));
-        let inbox = net.take_at_cube(CubeId::new(2));
-        assert_eq!(inbox.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        let inbox: Vec<u64> =
+            std::iter::from_fn(|| net.pop_at_cube(CubeId::new(2))).map(|p| p.id).collect();
+        assert_eq!(inbox, vec![0, 1, 2, 3]);
         assert!(!net.has_delivery_at_cube(CubeId::new(2)));
-        assert!(net.is_quiescent(), "taking the inbox must keep the in-flight count exact");
-    }
-
-    #[test]
-    fn inflight_arrival_bounds_track_links_into_each_cube() {
-        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 16);
-        let cubes = net.topology().cubes();
-        let mut earliest = vec![Cycle::MAX; cubes];
-        assert_eq!(net.inflight_arrival_bounds(&mut earliest), None, "empty network has no bound");
-        assert!(!net.has_pending_delivery());
-        net.inject(0, read_req(1, 0, 9, 0));
-        let global = net.inflight_arrival_bounds(&mut earliest).expect("one packet in flight");
-        // The packet's next arrival is one hop out; no later event exists.
-        assert!(global >= net.hop_latency());
-        // Whatever cube the first link points at is bounded by the global
-        // minimum; every cube unreachable this hop stays unbounded.
-        assert!(earliest.iter().all(|&at| at == Cycle::MAX || at >= global));
-        // Run to delivery: bounds must never admit the packet into cube 9
-        // earlier than its true arrival.
-        let mut arrived_at = None;
-        for t in 0..500 {
-            let bound = earliest[9];
-            net.tick(t);
-            if net.pop_at_cube(CubeId::new(9)).is_some() {
-                assert!(bound == Cycle::MAX || t >= bound, "arrival at {t} beat the bound {bound}");
-                arrived_at = Some(t);
-                break;
-            }
-            net.inflight_arrival_bounds(&mut earliest);
-        }
-        assert!(arrived_at.is_some());
+        assert!(net.is_quiescent(), "popping the queue must keep the in-flight count exact");
     }
 
     #[test]

@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn requests_round_trip_the_wire_encoding() {
         let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny)
-            .with_knobs(CellKnobs { threads: 2, cycle_limit: Some(1000), ..CellKnobs::default() });
+            .with_knobs(CellKnobs { fast_forward: Some(false), cycle_limit: Some(1000) });
         for request in [
             Request::Ping,
             Request::Stats,

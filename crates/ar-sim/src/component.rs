@@ -123,8 +123,7 @@ impl NextWake {
 ///
 /// Currently it only carries the cycle being processed; it exists as the
 /// extension point for driver-mediated services a component may need
-/// mid-wake (e.g. cross-shard wake requests once scheduling is sharded —
-/// see the ROADMAP), without having to change every `wake` signature.
+/// mid-wake, without having to change every `wake` signature.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedCtx {
     now: Cycle,
@@ -287,20 +286,13 @@ impl<K: Ord + Copy> Scheduler<K> {
     /// silently.
     pub fn pop_due_into(&mut self, now: Cycle, due: &mut Vec<K>) {
         due.clear();
-        self.pop_due_append(now, due);
-        due.sort_unstable();
-        due.dedup();
-    }
-
-    /// Appends the raw due keys (unsorted, undeduplicated) to `due` without
-    /// clearing it — the building block the sharded calendar's cross-shard
-    /// merge is made of.
-    pub(crate) fn pop_due_append(&mut self, now: Cycle, due: &mut Vec<K>) {
         while let Some((_, (key, generation))) = self.queue.pop_due(now) {
             if generation == self.generation(key) {
                 due.push(key);
             }
         }
+        due.sort_unstable();
+        due.dedup();
     }
 
     /// Number of scheduled wake-ups (duplicates and cancelled entries

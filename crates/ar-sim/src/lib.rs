@@ -9,9 +9,6 @@
 //! * [`component`] — the [`component::Component`] trait,
 //!   [`component::NextWake`] requests and the keyed
 //!   [`component::Scheduler`] driving the event loop;
-//! * [`shard`] — the [`shard::ShardedScheduler`] (per-shard wake calendars
-//!   with a deterministic merged pop) and the persistent
-//!   [`shard::WorkerPool`] that tick independent shards concurrently;
 //! * [`queue::LatencyQueue`] — items that become visible after a fixed or
 //!   per-item delay (pipelines, wire latency, DRAM access completion);
 //! * [`queue::BandwidthLink`] — a bandwidth-limited, in-order link that
@@ -36,12 +33,10 @@ pub mod component;
 pub mod events;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 
 pub use component::{Component, NextWake, SchedCtx, Scheduler};
 pub use events::EventQueue;
 pub use queue::{BandwidthLink, LatencyQueue};
 pub use rng::SimRng;
-pub use shard::{Horizon, ShardedScheduler, TimestampedOutbox, WorkerPool};
 pub use stats::{Counter, Histogram, Stats, TimeSeries};

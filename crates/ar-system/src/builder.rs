@@ -129,7 +129,8 @@ impl std::fmt::Debug for Simulation {
 /// Only the workload is mandatory. Defaults: the Table 4.1 base
 /// configuration ([`SystemConfig::paper`]), no named overlay,
 /// [`SizeClass::Small`], the variant implied by the offload scheme, no
-/// observers, the event-driven kernel.
+/// observers, and the event-driven kernel with compute fast-forwarding
+/// decided from the workload ([`SimulationBuilder::fast_forward`]).
 pub struct SimulationBuilder {
     base: SystemConfig,
     named: Option<NamedConfig>,
@@ -138,10 +139,7 @@ pub struct SimulationBuilder {
     variant: Option<Variant>,
     observers: Vec<Box<dyn Observer>>,
     lockstep: bool,
-    threads: usize,
     fast_forward: Option<bool>,
-    drain_fast_forward: Option<bool>,
-    cross_cycle: Option<bool>,
     checkpoint: Option<Checkpoint>,
 }
 
@@ -162,10 +160,7 @@ impl SimulationBuilder {
             variant: None,
             observers: Vec::new(),
             lockstep: false,
-            threads: 1,
             fast_forward: None,
-            drain_fast_forward: None,
-            cross_cycle: None,
             checkpoint: None,
         }
     }
@@ -177,9 +172,9 @@ impl SimulationBuilder {
     /// checkpoint carries only dynamic state plus identity, never code or
     /// streams (see [`crate::checkpoint`]). [`SimulationBuilder::build`]
     /// fails when the rebuilt configuration or regenerated workload does not
-    /// match the one the snapshot was taken under. Report-neutral kernel
-    /// knobs (threads, fast-forwarding, drain, cross-cycle, lock-step) may
-    /// differ freely between the snapshotting run and the restored one.
+    /// match the one the snapshot was taken under. The report-neutral kernel
+    /// choices (compute fast-forwarding, lock-step) may differ freely
+    /// between the snapshotting run and the restored one.
     #[must_use]
     pub fn from_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
         self.size = checkpoint.size;
@@ -253,21 +248,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the thread count of the sharded event-driven kernel (see
-    /// [`System::with_threads`]): due cube shards tick concurrently within a
-    /// cycle, with cross-shard effects merged deterministically, so the
-    /// report is byte-identical for every value. Default `1` (serial); `0`
-    /// resolves to the machine's available parallelism, and explicit counts
-    /// are clamped to it at build time — workers beyond physical CPUs only
-    /// add scheduling overhead, never speedup ([`System::with_threads`] is
-    /// the unclamped low-level knob). Ignored by the lock-step reference
-    /// kernel.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Forces bulk compute fast-forwarding on or off (see
     /// [`System::with_fast_forward`]).
     ///
@@ -287,40 +267,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Forces offload-drain fast-forwarding on or off (see
-    /// [`System::with_drain_fast_forward`]).
-    ///
-    /// Without this call the builder enables the drain planner exactly when
-    /// the generated workload offloads at all (`updates > 0`): a workload
-    /// with no `Update` items can never enter the MI-full drain regime, so
-    /// the per-cycle arming probe would be pure overhead. As with compute
-    /// fast-forwarding, the [`SimReport`] is byte-identical in every mode —
-    /// the equivalence suite's on/off axis asserts exactly that — so the
-    /// knob only places wall-clock work. Ignored by the lock-step reference
-    /// kernel, which never plans drain windows.
-    #[must_use]
-    pub fn drain_fast_forward(mut self, enabled: bool) -> Self {
-        self.drain_fast_forward = Some(enabled);
-        self
-    }
-
-    /// Forces bounded-lag cross-cycle execution on or off (see
-    /// [`System::with_cross_cycle`]).
-    ///
-    /// Without this call the kernel runs with cross-cycle execution enabled:
-    /// the arming pass self-gates (it only opens a run-ahead window when a
-    /// cube's pending work sits strictly below its conservative lookahead
-    /// horizon), so there is no workload statistic to auto-tune on. As with
-    /// the other kernel knobs, the [`SimReport`] is byte-identical in every
-    /// mode — the equivalence suite's on/off axis asserts exactly that — so
-    /// the knob only places wall-clock work. Ignored by the lock-step
-    /// reference kernel, which never runs ahead.
-    #[must_use]
-    pub fn cross_cycle(mut self, enabled: bool) -> Self {
-        self.cross_cycle = Some(enabled);
-        self
-    }
-
     /// Generates the workload, validates the configuration and wires the
     /// system.
     ///
@@ -336,6 +282,9 @@ impl SimulationBuilder {
             Some(named) => self.base.named(named),
             None => self.base,
         };
+        // Validate before generating: a config the system would reject must
+        // fail here, before any workload or component sizes itself off it.
+        cfg.validate()?;
         let variant = self.variant.unwrap_or_else(|| variant_for_scheme(cfg.scheme));
         let generated = workload.generate(cfg.cores.count, self.size, variant);
         let label = match self.named {
@@ -346,21 +295,12 @@ impl SimulationBuilder {
                 MemoryMode::HmcNetwork => "HMC".to_string(),
             },
         };
-        let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let threads = match self.threads {
-            0 => available,
-            n => n.min(available),
-        };
         let fast_forward = self.fast_forward.unwrap_or_else(|| {
             generated.compute_block_stats().longest_block >= ar_cpu::PROFITABLE_BLOCK_INSNS
         });
-        let drain_fast_forward = self.drain_fast_forward.unwrap_or(generated.updates > 0);
         let mut system = System::new(cfg, generated.streams, generated.memory)?
             .with_labels(generated.name, label)
-            .with_threads(threads)
-            .with_fast_forward(fast_forward)
-            .with_drain_fast_forward(drain_fast_forward)
-            .with_cross_cycle(self.cross_cycle.unwrap_or(true));
+            .with_fast_forward(fast_forward);
         if let Some(ck) = &self.checkpoint {
             let config_hash = system.config().to_json().content_hash();
             if ck.config_hash != config_hash {
@@ -429,6 +369,24 @@ mod tests {
     fn builder_requires_a_workload() {
         let err = Simulation::builder().config(small_cfg()).build();
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn oversized_core_counts_fail_to_build_without_panicking() {
+        let mut cfg = small_cfg();
+        cfg.noc.mesh_width = 17; // room for 289 cores: the mesh is not the limit
+        cfg.cores.count = ar_types::config::MAX_CORES + 1;
+        assert!(cfg.validate().is_err());
+        let built = std::panic::catch_unwind(|| {
+            Simulation::builder()
+                .config(cfg)
+                .named(NamedConfig::Hmc)
+                .workload(WorkloadKind::Reduce)
+                .size(SizeClass::Tiny)
+                .build()
+        })
+        .expect("an oversized config must be rejected, not panic");
+        assert!(built.is_err(), "257 cores must be a ConfigError");
     }
 
     #[test]
@@ -545,13 +503,10 @@ mod tests {
         let resumed = arf_tid_reduce().from_checkpoint(restored).build().expect("restores").run();
         assert_eq!(resumed, full, "restored run must reproduce the full report");
 
-        // The kernel knobs are report-neutral across the restore boundary:
-        // resume the same snapshot on the lock-step kernel and at 4 threads.
-        let lockstep =
-            arf_tid_reduce().from_checkpoint(ck.clone()).lockstep().build().expect("ok").run();
+        // The kernel choice is report-neutral across the restore boundary:
+        // resume the same snapshot on the lock-step kernel.
+        let lockstep = arf_tid_reduce().from_checkpoint(ck).lockstep().build().expect("ok").run();
         assert_eq!(lockstep, full);
-        let threaded = arf_tid_reduce().from_checkpoint(ck).threads(4).build().expect("ok").run();
-        assert_eq!(threaded, full);
     }
 
     #[test]

@@ -31,7 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// meaning: a restored run must be byte-identical to an uninterrupted one,
 /// so decoding a stale layout into a newer simulator (or vice versa) must
 /// fail loudly instead of resuming from subtly wrong state.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 dropped the window counters of the retired offload-drain and
+/// run-ahead kernel strategies from the system state.
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Distinguishes temp files of racing writers within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -185,15 +188,20 @@ mod tests {
 
     #[test]
     fn schema_mismatch_and_hostile_fields_are_rejected() {
-        let mut doc = sample().to_json();
-        if let Json::Obj(pairs) = &mut doc {
-            for (k, v) in pairs.iter_mut() {
-                if k == "schema" {
-                    *v = Json::from(CHECKPOINT_SCHEMA_VERSION + 1);
+        // Both the previous (v1) layout and a future one must fail with an
+        // error; from_json never panics on a foreign schema.
+        for schema in [1, CHECKPOINT_SCHEMA_VERSION + 1] {
+            let mut doc = sample().to_json();
+            if let Json::Obj(pairs) = &mut doc {
+                for (k, v) in pairs.iter_mut() {
+                    if k == "schema" {
+                        *v = Json::from(schema);
+                    }
                 }
             }
+            let err = Checkpoint::from_json(&doc).expect_err("a foreign schema must not decode");
+            assert!(err.message.contains(&format!("v{schema}")), "{}", err.message);
         }
-        assert!(Checkpoint::from_json(&doc).is_err(), "future schema must not decode");
 
         for (key, bad) in [
             ("size", Json::from("galactic")),

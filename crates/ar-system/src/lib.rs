@@ -58,8 +58,6 @@
 
 pub mod builder;
 pub mod checkpoint;
-mod drain;
-mod lookahead;
 pub mod observer;
 pub mod report;
 pub mod runner;
@@ -75,7 +73,5 @@ pub use observer::{
 pub use report::{CubeActivity, DataMovement, LatencyBreakdown, SimReport, StallSummary};
 pub use runner::{variant_for, verify_gathers};
 pub use sampling::{SampledMetric, SampledReport, SamplingPlan};
-pub use sweep::{
-    warm_fan_out, CellKey, CellKnobs, Sweep, SweepCell, SweepResults, CACHE_SCHEMA_VERSION,
-};
+pub use sweep::{CellKey, CellKnobs, Sweep, SweepCell, SweepResults, CACHE_SCHEMA_VERSION};
 pub use system::{RunFootprint, System};

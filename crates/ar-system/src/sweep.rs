@@ -50,48 +50,24 @@ use std::sync::{Arc, Mutex};
 /// are part of the key itself.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Execution knobs of one sweep cell.
+/// Execution knobs of one sweep cell. The default is the builder's own
+/// defaults: the automatic fast-forward decision and the base
+/// configuration's cycle limit.
 ///
-/// The kernel knobs (threads, the fast-forward modes, cross-cycle
-/// execution) place wall-clock work without affecting the [`SimReport`] —
-/// the equivalence suite pins byte-identical reports across every thread
-/// count and every knob setting — so they are deliberately *excluded* from
-/// [`CellKey::cache_key`]: a report computed at `threads = 4` is a sound
-/// cache hit for a later `threads = 1` request. `cycle_limit` truncates the
-/// simulation and therefore *is* part of the key (folded into the effective
+/// Compute fast-forwarding places wall-clock work without affecting the
+/// [`SimReport`] — the equivalence suite pins byte-identical reports with it
+/// forced on and off — so it is deliberately *excluded* from
+/// [`CellKey::cache_key`]: a report computed with it on is a sound cache hit
+/// for a later request with it off. `cycle_limit` truncates the simulation
+/// and therefore *is* part of the key (folded into the effective
 /// configuration's `max_cycles`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellKnobs {
-    /// Sharded-kernel thread count
-    /// ([`SimulationBuilder::threads`]; `0` = available parallelism).
-    pub threads: usize,
     /// Forces bulk compute fast-forwarding on or off; `None` keeps the
     /// builder's automatic decision ([`SimulationBuilder::fast_forward`]).
     pub fast_forward: Option<bool>,
-    /// Forces offload-drain fast-forwarding on or off; `None` keeps the
-    /// builder's automatic decision
-    /// ([`SimulationBuilder::drain_fast_forward`]).
-    pub drain_fast_forward: Option<bool>,
-    /// Forces bounded-lag cross-cycle execution on or off; `None` keeps the
-    /// builder's default (enabled; [`SimulationBuilder::cross_cycle`]).
-    pub cross_cycle: Option<bool>,
     /// Overrides the base configuration's `max_cycles` when set.
     pub cycle_limit: Option<u64>,
-}
-
-impl Default for CellKnobs {
-    /// The builder's own defaults: serial kernel, automatic fast-forward
-    /// decisions, cross-cycle execution enabled, the base configuration's
-    /// cycle limit.
-    fn default() -> Self {
-        CellKnobs {
-            threads: 1,
-            fast_forward: None,
-            drain_fast_forward: None,
-            cross_cycle: None,
-            cycle_limit: None,
-        }
-    }
 }
 
 /// The identity of one sweep cell: which workload, under which named
@@ -147,16 +123,9 @@ impl CellKey {
             .config(cfg)
             .named(self.config)
             .workload_arc(workload)
-            .size(self.size)
-            .threads(self.knobs.threads);
+            .size(self.size);
         if let Some(ff) = self.knobs.fast_forward {
             builder = builder.fast_forward(ff);
-        }
-        if let Some(dff) = self.knobs.drain_fast_forward {
-            builder = builder.drain_fast_forward(dff);
-        }
-        if let Some(cc) = self.knobs.cross_cycle {
-            builder = builder.cross_cycle(cc);
         }
         builder
     }
@@ -165,8 +134,8 @@ impl CellKey {
     /// configuration: `{schema, workload, size, config, base}` where `base`
     /// is the *effective* configuration — named overlay applied and
     /// `cycle_limit` folded into `max_cycles`, so the same effective limit
-    /// expressed either way produces the same key. Report-neutral knobs
-    /// (threads, fast-forward modes) are excluded; see [`CellKnobs`].
+    /// expressed either way produces the same key. The report-neutral
+    /// fast-forward knob is excluded; see [`CellKnobs`].
     ///
     /// Content-hash this document ([`Json::content_hash`]) to get the cache
     /// address of the cell's report.
@@ -197,15 +166,14 @@ impl CellKey {
             ("workload", Json::from(self.workload.clone())),
             ("config", Json::from(self.config.to_string())),
             ("size", Json::from(self.size.to_string())),
-            ("threads", Json::from(self.knobs.threads)),
             ("fast_forward", opt_bool(self.knobs.fast_forward)),
-            ("drain_fast_forward", opt_bool(self.knobs.drain_fast_forward)),
-            ("cross_cycle", opt_bool(self.knobs.cross_cycle)),
             ("cycle_limit", self.knobs.cycle_limit.map(Json::from).unwrap_or(Json::Null)),
         ])
     }
 
-    /// Decodes a [`CellKey::to_json`] document.
+    /// Decodes a [`CellKey::to_json`] document. Fields this version does
+    /// not know — such as the retired kernel knobs older peers still send —
+    /// are ignored.
     ///
     /// # Errors
     ///
@@ -232,15 +200,7 @@ impl CellKey {
             Some(v) => v.as_bool().map(Some).ok_or_else(|| bad(key)),
         };
         let knobs = CellKnobs {
-            threads: doc
-                .get("threads")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("threads"))?
-                .try_into()
-                .map_err(|_| bad("threads"))?,
             fast_forward: opt_bool("fast_forward")?,
-            drain_fast_forward: opt_bool("drain_fast_forward")?,
-            cross_cycle: opt_bool("cross_cycle")?,
             cycle_limit: match doc.get("cycle_limit") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(v.as_u64().ok_or_else(|| bad("cycle_limit"))?),
@@ -496,72 +456,6 @@ impl Sweep {
     }
 }
 
-/// Runs one cell's shared prefix **exactly once**, snapshots it, and fans a
-/// family of report-neutral [`CellKnobs`] variants out from that single
-/// checkpoint, each resumed and run to completion on its own worker thread.
-///
-/// This is the warm-up-once sweep shape: when a matrix varies only kernel
-/// knobs (thread counts, fast-forward modes, cross-cycle execution) over one
-/// `(workload, config, size)` identity, the cold prefix is identical across
-/// every variant — the knobs are report-neutral by the pinned equivalence
-/// invariant — so simulating it per variant is pure waste. The warm-up runs
-/// under `cell`'s own knobs to network cycle `prefix` (capped at the cycle
-/// limit), and every variant resumes from the resulting [`crate::Checkpoint`];
-/// restored runs are byte-identical to uninterrupted ones, so the returned
-/// reports (in `variants` order) match a cold sweep of the same cells.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the cell fails to build, when a variant
-/// changes `cycle_limit` (the one knob that is *not* report-neutral — a
-/// different limit is a different cell), or when a variant fails to build or
-/// restore.
-pub fn warm_fan_out(
-    base: &SystemConfig,
-    workload: Arc<dyn Workload>,
-    cell: &CellKey,
-    prefix: u64,
-    variants: &[CellKnobs],
-) -> Result<Vec<SimReport>, ConfigError> {
-    for v in variants {
-        if v.cycle_limit != cell.knobs.cycle_limit {
-            return Err(ConfigError::new(format!(
-                "warm fan-out variants must share the cell's cycle limit ({:?}), got {:?}: \
-                 a different limit is a different cell, not a kernel knob",
-                cell.knobs.cycle_limit, v.cycle_limit
-            )));
-        }
-    }
-    let mut warm = cell.configure(base, workload.clone()).build()?;
-    warm.run_prefix(prefix);
-    let checkpoint = warm.checkpoint();
-    drop(warm);
-
-    let slots: Vec<Mutex<Option<Result<SimReport, ConfigError>>>> =
-        variants.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for (i, &knobs) in variants.iter().enumerate() {
-            let workload = workload.clone();
-            let checkpoint = checkpoint.clone();
-            let slots = &slots;
-            scope.spawn(move || {
-                let result = cell
-                    .clone()
-                    .with_knobs(knobs)
-                    .configure(base, workload)
-                    .from_checkpoint(checkpoint)
-                    .build()
-                    .map(Simulation::run);
-                *slots[i].lock().expect("fan-out slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("fan-out slot poisoned").expect("worker filled slot"))
-        .collect()
-}
-
 impl std::fmt::Debug for Sweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
@@ -656,18 +550,34 @@ mod tests {
             assert_eq!(&wired, key);
         }
         // Knobs survive the wire too, including explicit fast-forward forcing.
-        let knobbed = keys[0].clone().with_knobs(CellKnobs {
-            threads: 4,
-            fast_forward: Some(false),
-            drain_fast_forward: Some(true),
-            cross_cycle: Some(false),
-            cycle_limit: Some(12_345),
-        });
+        let knobbed = keys[0]
+            .clone()
+            .with_knobs(CellKnobs { fast_forward: Some(false), cycle_limit: Some(12_345) });
         assert_eq!(CellKey::from_json(&knobbed.to_json()).unwrap(), knobbed);
         // Malformed documents are rejected.
         assert!(CellKey::from_json(&Json::parse(r#"{"workload":"x"}"#).unwrap()).is_err());
-        let bad_cfg = r#"{"workload":"mac","config":"NOPE","size":"tiny","threads":1}"#;
+        let bad_cfg = r#"{"workload":"mac","config":"NOPE","size":"tiny"}"#;
         assert!(CellKey::from_json(&Json::parse(bad_cfg).unwrap()).is_err());
+        let bad_ff = r#"{"workload":"mac","config":"HMC","size":"tiny","fast_forward":1}"#;
+        assert!(CellKey::from_json(&Json::parse(bad_ff).unwrap()).is_err());
+    }
+
+    /// A cell document from a peer that still sends the retired kernel
+    /// knobs decodes to the default-knob key at the same cache address, so
+    /// such peers and an existing on-disk report cache stay compatible.
+    #[test]
+    fn retired_kernel_knobs_decode_to_the_default_cell() {
+        let base = small_cfg();
+        let doc = Json::parse(
+            r#"{"workload":"pagerank","config":"ARF-tid","size":"tiny","threads":4,
+                "fast_forward":null,"drain_fast_forward":false,"cross_cycle":true,
+                "cycle_limit":null}"#,
+        )
+        .unwrap();
+        let decoded = CellKey::from_json(&doc).expect("the retired knobs are ignored");
+        let fresh = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny);
+        assert_eq!(decoded, fresh);
+        assert_eq!(decoded.cache_hash(&base), fresh.cache_hash(&base));
     }
 
     #[test]
@@ -675,23 +585,12 @@ mod tests {
         let base = small_cfg();
         let key = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny);
         let addr = key.cache_hash(&base);
-        // threads / fast-forward knobs never change the report, so they must
-        // share the cache address...
-        let neutral = key.clone().with_knobs(CellKnobs {
-            threads: 8,
-            fast_forward: Some(true),
-            drain_fast_forward: Some(false),
-            cross_cycle: None,
-            cycle_limit: None,
-        });
-        assert_eq!(neutral.cache_hash(&base), addr);
-        // Cross-cycle execution is report-neutral too: forcing it on or off
-        // must keep the cell at the same cache address, so reports computed
-        // before the knob existed stay valid hits.
+        // The fast-forward knob never changes the report, so forcing it on
+        // or off must share the cache address...
         for forced in [Some(true), Some(false)] {
-            let crossed =
-                key.clone().with_knobs(CellKnobs { cross_cycle: forced, ..CellKnobs::default() });
-            assert_eq!(crossed.cache_hash(&base), addr);
+            let neutral =
+                key.clone().with_knobs(CellKnobs { fast_forward: forced, ..CellKnobs::default() });
+            assert_eq!(neutral.cache_hash(&base), addr);
         }
         // ...while the cycle limit, the named config, the size, the workload
         // and any base-config field all do change it.
@@ -746,37 +645,6 @@ mod tests {
             .expect("valid cell")
             .run();
         assert!(!truncated.completed);
-    }
-
-    #[test]
-    fn warm_fan_out_matches_cold_runs_and_rejects_limit_drift() {
-        let base = small_cfg();
-        let cell = CellKey::new("reduce", NamedConfig::ArfTid, SizeClass::Tiny);
-        let variants = [
-            CellKnobs::default(),
-            CellKnobs { threads: 4, ..CellKnobs::default() },
-            CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
-            CellKnobs { cross_cycle: Some(false), ..CellKnobs::default() },
-        ];
-        let warm = warm_fan_out(&base, Arc::new(WorkloadKind::Reduce), &cell, 400, &variants)
-            .expect("fan-out runs");
-        assert_eq!(warm.len(), variants.len());
-        // Every variant resumed from one shared prefix must reproduce its
-        // cold, uncheckpointed run — which by the equivalence invariant is
-        // the same report for all of them.
-        let cold = cell
-            .configure(&base, Arc::new(WorkloadKind::Reduce))
-            .build()
-            .expect("valid cell")
-            .run();
-        for (report, knobs) in warm.iter().zip(&variants) {
-            assert_eq!(report, &cold, "variant {knobs:?} diverged from the cold run");
-        }
-
-        // cycle_limit is semantic, not report-neutral: a variant that drifts
-        // from the cell's limit is a different cell and must be rejected.
-        let drifted = [CellKnobs { cycle_limit: Some(99), ..CellKnobs::default() }];
-        assert!(warm_fan_out(&base, Arc::new(WorkloadKind::Reduce), &cell, 400, &drifted).is_err());
     }
 
     #[test]

@@ -35,20 +35,15 @@
 //! numerical reduction results that the tests compare against the workload's
 //! reference values.
 
-use crate::drain::{self, CoreDrain, MAX_WINDOW_POPS, MIN_DRAIN_CYCLES};
-use crate::lookahead::LookaheadTable;
 use crate::observer::{Observer, ObserverHub, RunInfo, Sample, SimEvent};
 use crate::report::{CubeActivity, DataMovement, LatencyBreakdown, SimReport, StallSummary};
 use active_routing::{ActiveRoutingEngine, AreOutput, HostOffloadController, HostOutput};
 use ar_cache::{AccessKind, CacheHierarchy, HitLevel};
-use ar_cpu::{Core, MemAccess, MemAccessKind, OffloadCommand, OffloadDrainOutcome};
+use ar_cpu::{Core, MemAccess, MemAccessKind};
 use ar_dram::{DramRequest, DramSystem};
 use ar_hmc::{HmcCube, VaultRequest};
 use ar_network::{DragonflyTopology, MemoryNetwork, MeshNoc};
-use ar_sim::{
-    Component, Horizon, LatencyQueue, NextWake, SchedCtx, ShardedScheduler, TimeSeries,
-    TimestampedOutbox, WorkerPool,
-};
+use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx, Scheduler, TimeSeries};
 use ar_types::addr::AddressMap;
 use ar_types::config::{MemoryMode, SystemConfig};
 use ar_types::error::ConfigError;
@@ -57,7 +52,6 @@ use ar_types::ids::NetNode;
 use ar_types::json::{Json, JsonError};
 use ar_types::packet::{Packet, PacketKind};
 use ar_types::{Addr, CubeId, Cycle, PortId, WorkItem, WorkStream};
-use std::collections::VecDeque;
 
 /// Extra core cycles charged to an atomic read-modify-write for its
 /// directory round trip, on top of the normal write path.
@@ -72,12 +66,6 @@ const IPC_WINDOW_CORE_CYCLES: u64 = 2048;
 /// key, a cube with its 32 vaults is one key): a key must be worth the
 /// calendar bookkeeping, and the intra-component skipping is handled by the
 /// component itself through its own [`Component::next_wake`] logic.
-///
-/// Keys are grouped into *shards* for the sharded calendar and the parallel
-/// cube sub-phases (see [`SysKey::shard`]): the core cluster (with the IPC
-/// sampler), the DRAM backend, the memory network, and one shard per cube
-/// holding the cube and its Active-Routing engine — the two keys whose state
-/// a cube-shard tick job mutates together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SysKey {
     /// The core cluster: core pipelines, barrier release, MI drain.
@@ -94,222 +82,6 @@ enum SysKey {
     /// when the kernel skips over the sampling boundary).
     Ipc,
 }
-
-impl SysKey {
-    /// Shards below this index are the fixed singleton shards (cores + IPC
-    /// sampler, DRAM, network); cube shards follow, one per cube.
-    const FIXED_SHARDS: usize = 3;
-
-    /// The shard a key belongs to.
-    fn shard(self) -> usize {
-        match self {
-            SysKey::Cores | SysKey::Ipc => 0,
-            SysKey::Dram => 1,
-            SysKey::Network => 2,
-            SysKey::Cube(c) | SysKey::Engine(c) => Self::FIXED_SHARDS + c,
-        }
-    }
-}
-
-/// Cross-shard effects recorded by one cube shard's delivery/engine tick
-/// job (sub-phase 1 of the HMC step), applied serially in cube-index order
-/// at the merge boundary so the result is byte-identical to the serial
-/// per-cube loop regardless of worker count.
-#[derive(Debug, Default)]
-struct CubeOutbox {
-    /// Request ids of normal (core-transaction) vault accesses pushed this
-    /// cycle, registered in the shared purpose map at merge time.
-    normal_ids: Vec<u64>,
-    /// DRAM traffic charged by this shard (64 B per normal access; operand
-    /// accesses are charged when the engine outputs are applied).
-    hmc_bytes: u64,
-    /// The cube received at least one vault request, so `SysKey::Cube` must
-    /// be stimulated for sub-phase 2.
-    cube_stimulated: bool,
-    /// Engine output (packets + operand/vault accesses) accumulated across
-    /// the handled active packets and the pipeline tick, in emission order.
-    /// One reused accumulator per cube: within each list the order equals
-    /// the old one-output-per-packet scheme's concatenation, and packets and
-    /// vault accesses feed disjoint subsystems (network injection vs. vault
-    /// queues), so collapsing the per-packet boundaries cannot change the
-    /// report.
-    are_output: AreOutput,
-}
-
-/// Reusable per-cube buffers for the HMC sub-phase jobs. Taken out of the
-/// system when a cube's job is built and moved back at the merge, so inbox
-/// and outbox capacities survive across cycles instead of being reallocated
-/// 10^5 times per run.
-#[derive(Debug, Default)]
-struct CubeScratch {
-    /// The cube's network deliveries, swapped out of the network's per-cube
-    /// queue (whose spare capacity is left behind in exchange).
-    inbox: VecDeque<Packet>,
-    outbox: CubeOutbox,
-    /// Vault completions popped in sub-phase 2, in pop order.
-    completions: Vec<ar_hmc::VaultResponse>,
-}
-
-/// One cube shard's sub-phase-1 job: drain the cube's network inbox and
-/// advance its engine pipelines. Holds disjoint `&mut`s into the backend, so
-/// a batch of these can tick on worker threads.
-struct CubeDeliveryJob<'a> {
-    cube: &'a mut HmcCube,
-    engine: &'a mut ActiveRoutingEngine,
-    scratch: &'a mut CubeScratch,
-}
-
-impl CubeDeliveryJob<'_> {
-    /// The per-cube body of sub-phase 1, operation-for-operation the serial
-    /// loop's order: deliver packets (vault pushes and engine handling in
-    /// arrival order), then advance the engine pipelines.
-    fn tick(&mut self, now: Cycle) {
-        while let Some(packet) = self.scratch.inbox.pop_front() {
-            match &packet.kind {
-                PacketKind::ReadReq { req_id, addr } | PacketKind::WriteReq { req_id, addr } => {
-                    let is_write = matches!(packet.kind, PacketKind::WriteReq { .. });
-                    let id = *req_id;
-                    let addr = *addr;
-                    let req = if is_write {
-                        VaultRequest::write(id, addr)
-                    } else {
-                        VaultRequest::read(id, addr)
-                    };
-                    let _ = self.cube.try_push(now, req);
-                    self.scratch.outbox.normal_ids.push(id);
-                    self.scratch.outbox.cube_stimulated = true;
-                    self.scratch.outbox.hmc_bytes += 64;
-                }
-                PacketKind::ReadResp { .. } | PacketKind::WriteAck { .. } => {
-                    // Responses are only ever destined to host ports.
-                }
-                PacketKind::Active(_) => {
-                    self.engine.handle_packet_into(
-                        now,
-                        packet,
-                        &mut self.scratch.outbox.are_output,
-                    );
-                }
-            }
-        }
-        self.engine.tick_into(now, &mut self.scratch.outbox.are_output);
-    }
-}
-
-/// One cube shard's sub-phase-2 job: advance the crossbar and vaults, and
-/// collect the completions that crossed back, in pop order.
-struct VaultDrainJob<'a> {
-    cube: &'a mut HmcCube,
-    scratch: &'a mut CubeScratch,
-}
-
-impl VaultDrainJob<'_> {
-    fn tick(&mut self, now: Cycle) {
-        let mut ctx = SchedCtx::new(now);
-        self.cube.wake(now, &mut ctx);
-        while let Some(resp) = self.cube.pop_response(now) {
-            self.scratch.completions.push(resp);
-        }
-    }
-}
-
-/// One cube shard's bounded-lag run-ahead window: the cube's private
-/// calendar was advanced to local cycle `until` under a conservative
-/// horizon, and every vault response it popped along the way waits in
-/// `replay`, stamped with its true pop cycle, to be merged into the
-/// completion stream when the global clock reaches it.
-#[derive(Debug, Default)]
-struct CubeWindow {
-    /// Last local cycle the cube was advanced to; 0 = no window. While
-    /// `now <= until` the cube must not be ticked by the normal sub-phases
-    /// (its state already reflects local cycle `until`).
-    until: Cycle,
-    /// Responses popped during the run-ahead, in (cycle, pop) order.
-    replay: TimestampedOutbox<ar_hmc::VaultResponse>,
-}
-
-impl CubeWindow {
-    /// Whether the window still covers the global cycle `now`.
-    fn active(&self, now: Cycle) -> bool {
-        self.until != 0 && now <= self.until
-    }
-}
-
-/// One cube shard's bounded-lag run-ahead job: advance the cube's private
-/// calendar event by event, strictly below the horizon, collecting every
-/// popped response with its true cycle. Inside the window the cube receives
-/// no external input (that is what the horizon guarantees), so this replays
-/// exactly the due-driven tick chain the serial kernel would have executed —
-/// and since each job owns disjoint `&mut`s, a batch of them runs on the
-/// worker pool.
-struct RunAheadJob<'a> {
-    cube: &'a mut HmcCube,
-    window: &'a mut CubeWindow,
-    from: Cycle,
-    horizon: Cycle,
-}
-
-impl RunAheadJob<'_> {
-    fn run(&mut self) {
-        let mut t = self.from;
-        while let NextWake::At(next) = self.cube.next_wake(t) {
-            if next >= self.horizon {
-                break;
-            }
-            if next <= t {
-                debug_assert!(false, "a cube wake-up failed to advance its local clock");
-                break;
-            }
-            t = next;
-            self.cube.tick(t);
-            while let Some(resp) = self.cube.pop_response(t) {
-                self.window.replay.push(t, resp);
-            }
-        }
-        if t > self.from {
-            self.window.until = t;
-        }
-    }
-}
-
-/// Minimum length (in cycles past `now`) a cross-cycle window must have to
-/// be worth arming: the arming pass itself costs a scan over cubes and
-/// in-flight packets, so windows that could only cover a couple of cycles
-/// are left to the normal per-cycle path. Placement-only — the replayed
-/// stream is identical either way.
-const MIN_CROSS_CYCLE_WINDOW: Cycle = 8;
-
-/// Minimum number of due cube shards worth fanning out to the worker pool.
-/// A dispatch costs a few hundred nanoseconds (publish, claim traffic,
-/// completion wait) while a typical cube tick is shorter than that, so
-/// small batches run inline. The threshold only decides *placement*, never
-/// the merged result.
-const PARALLEL_BATCH_MIN: usize = 4;
-
-/// Runs one tick job per participating cube shard — on the worker pool when
-/// one is attached and the batch is worth a dispatch, inline otherwise. Jobs
-/// only mutate their own shard and outbox, so placement cannot change the
-/// merged result.
-fn run_shard_jobs<T: Send>(
-    pool: Option<&mut WorkerPool>,
-    jobs: &mut [T],
-    f: impl Fn(&mut T) + Sync,
-) {
-    match pool {
-        Some(pool) if jobs.len() >= PARALLEL_BATCH_MIN => pool.run(jobs, |_, job| f(job)),
-        _ => jobs.iter_mut().for_each(f),
-    }
-}
-
-// The cube-shard jobs cross thread boundaries inside `WorkerPool::run`; this
-// pins the Send-cleanliness of the whole HMC tick path (cube, vaults,
-// engine, packets) at compile time, close to the code that relies on it.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CubeDeliveryJob<'_>>();
-    assert_send::<VaultDrainJob<'_>>();
-    assert_send::<RunAheadJob<'_>>();
-};
 
 /// Why a vault access was issued (used to dispatch its completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,16 +105,6 @@ struct MemTxn {
     /// the memory controller.
     noc_return: u64,
     is_write: bool,
-}
-
-/// One host-controller submission planned by an offload-drain window: a
-/// command some core's Message Interface pops at network cycle `cycle`. The
-/// pop itself was already applied when the window committed; only the
-/// submission's timing and order must be replayed exactly.
-#[derive(Debug, Clone, Copy)]
-struct DrainInjection {
-    cycle: Cycle,
-    cmd: OffloadCommand,
 }
 
 /// The memory substrate behind the caches.
@@ -425,43 +187,14 @@ pub struct System {
     hmc_bytes: u64,
     /// Back-invalidations performed for offloaded updates.
     back_invalidations: u64,
-    /// Worker threads for the sharded kernel (see [`System::with_threads`]):
-    /// 1 = serial (the default), 0 = available parallelism.
-    threads: usize,
     /// Whether the event-driven kernel may arm bulk compute fast-forward
     /// intervals on the cores (see [`System::with_fast_forward`]). The
     /// lock-step reference ignores the knob — it never fast-forwards.
     fast_forward: bool,
-    /// Whether the event-driven kernel may plan whole offload-drain windows
-    /// in closed form (see [`System::with_drain_fast_forward`]). The
-    /// lock-step reference ignores the knob — it never plans.
-    drain_fast_forward: bool,
-    /// First network cycle *not* covered by the currently planned drain
-    /// window (0 = no window pending). While `now < drain_until` the cores
-    /// phase only replays the window's submission schedule from
-    /// `drain_outbox`; the cores' own state was already committed to the
-    /// window end when the window was armed.
-    drain_until: Cycle,
-    /// The planned host-controller submissions of the current drain window,
-    /// cycle-major and core-ascending within a cycle — exactly the order the
-    /// per-cycle drain phase would have produced them in.
-    drain_outbox: VecDeque<DrainInjection>,
-    /// Offload-drain windows planned so far (diagnostics only — the whole
-    /// contract is that the report cannot tell).
-    drain_windows: u64,
-    /// Reusable buffers of `try_arm_offload_drain`, so planning a window
-    /// allocates nothing once they reach their high-water capacities: the
-    /// drain-core index list, their planner states, the pop schedule, the
-    /// peeked command streams (flat), and the per-core read cursors into
-    /// that flat buffer.
-    drain_plan_cores: Vec<usize>,
-    drain_plan_states: Vec<CoreDrain>,
-    drain_plan_pops: Vec<(u64, u32)>,
-    drain_plan_commands: Vec<OffloadCommand>,
-    drain_plan_cursors: Vec<usize>,
-    /// Reusable controller-output buffer of the drain phases, so submitting
-    /// a command allocates nothing (its back-invalidate list doubles as the
-    /// batch applied after each cycle's submissions).
+    /// Reusable controller-output buffer of the Message-Interface drain and
+    /// the host-port phase, so submitting a command allocates nothing (its
+    /// back-invalidate list doubles as the batch applied after each cycle's
+    /// submissions).
     host_scratch: HostOutput,
     /// Reusable `(core, request)` buffer of the cores phase, so the hot
     /// per-core-cycle loop allocates nothing.
@@ -485,51 +218,15 @@ pub struct System {
     mi_pending: Vec<bool>,
     /// Number of `true` entries in `mi_pending`.
     mi_pending_cores: usize,
-    /// Reusable list of the cube-shard indices participating in the current
-    /// HMC sub-phase (ascending — the outbox merge order).
-    cube_participants: Vec<usize>,
-    /// Reusable per-cube job buffers (one per cube; empty for DRAM).
-    cube_scratch: Vec<CubeScratch>,
-    /// Reusable engine-output merge buffer.
+    /// Reusable engine-output buffer: one `(cube, output)` entry per engine
+    /// that produced work in the current HMC sub-phase, applied in cube
+    /// order once the sub-phase has visited every cube.
     are_scratch: Vec<(usize, AreOutput)>,
     /// Pool of emptied engine-output accumulators recycled between the
-    /// vault-completion merge and the apply step.
+    /// sub-phases and the apply step.
     are_spare: Vec<AreOutput>,
-    /// Reusable vault-completion merge buffer.
+    /// Reusable vault-completion buffer.
     completion_scratch: Vec<(usize, ar_hmc::VaultResponse)>,
-    /// Whether the event-driven kernel may run cube shards ahead of the
-    /// global clock inside conservative bounded-lag windows (see
-    /// [`System::with_cross_cycle`]). The lock-step reference ignores the
-    /// knob — it never runs ahead.
-    cross_cycle: bool,
-    /// Per-cube bounded-lag run-ahead windows (empty for the DRAM
-    /// baseline). See [`System::try_arm_cross_cycle`].
-    run_ahead: Vec<CubeWindow>,
-    /// Number of cubes whose window is still open (`until != 0`). New
-    /// windows only arm when this is zero, so window generations never
-    /// overlap.
-    active_windows: usize,
-    /// Cross-cycle windows armed so far (diagnostics only — the whole
-    /// contract is that the report cannot tell).
-    cross_cycle_windows: u64,
-    /// Don't re-attempt window arming before this cycle: a failed attempt
-    /// (traffic in flight, horizons too tight) rarely turns armable within a
-    /// cycle or two, and the horizon fold is the priciest probe the kernel
-    /// runs per cycle. Purely a wall-clock throttle — arming is
-    /// report-neutral, so skipping attempts cannot change a report byte, and
-    /// the backoff depends only on simulated state, never on thread timing.
-    arm_backoff_until: Cycle,
-    /// Per-shard-pair minimum-latency table driving the horizon computation
-    /// (HMC backend only).
-    lookahead: Option<LookaheadTable>,
-    /// Scratch for the per-cube in-flight arrival bounds.
-    arrival_scratch: Vec<Cycle>,
-    /// Scratch for the eligible `(cube, horizon)` pairs of one arming pass.
-    window_candidates: Vec<(usize, Cycle)>,
-    /// Scratch for one arming pass's per-cube emission probes —
-    /// `(earliest_response, engine_idle, engine_wake)` — so the horizon fold
-    /// reads each cube's O(vaults) state once instead of per candidate pair.
-    emit_scratch: Vec<(Option<Cycle>, bool, NextWake)>,
     /// First network cycle the run loop has not yet processed: 0 on a fresh
     /// system, advanced by every [`System::advance`] epilogue, restored by
     /// [`System::load_state`]. The next run (full or prefix) resumes here.
@@ -624,24 +321,10 @@ impl System {
         // `cfg.network.cubes` would alias or overrun if the two disagreed.
         let cube_count = Self::backend_cube_count(&backend);
         let slot_count = 4 + 2 * cube_count;
-        let lookahead = match &backend {
-            Backend::Hmc(hmc) => Some(LookaheadTable::new(&hmc.topology, cfg.network.hop_latency)),
-            Backend::Dram(_) => None,
-        };
         Ok(System {
-            cross_cycle: true,
-            run_ahead: (0..cube_count).map(|_| CubeWindow::default()).collect(),
-            active_windows: 0,
-            cross_cycle_windows: 0,
-            arm_backoff_until: 0,
-            lookahead,
-            arrival_scratch: vec![Cycle::MAX; cube_count],
-            window_candidates: Vec::new(),
-            emit_scratch: Vec::new(),
             cores_done,
             busy: vec![false; slot_count],
             busy_count: 0,
-            cube_scratch: (0..cube_count).map(|_| CubeScratch::default()).collect(),
             are_scratch: Vec::new(),
             are_spare: Vec::new(),
             completion_scratch: Vec::new(),
@@ -675,23 +358,12 @@ impl System {
             last_ipc_sample_insns: 0,
             hmc_bytes: 0,
             back_invalidations: 0,
-            threads: 1,
             fast_forward: true,
-            drain_fast_forward: true,
-            drain_until: 0,
-            drain_outbox: VecDeque::new(),
-            drain_windows: 0,
-            drain_plan_cores: Vec::new(),
-            drain_plan_states: Vec::new(),
-            drain_plan_pops: Vec::new(),
-            drain_plan_commands: Vec::new(),
-            drain_plan_cursors: Vec::new(),
             host_scratch: HostOutput::default(),
             core_requests: Vec::new(),
             core_wake_at,
             mi_pending,
             mi_pending_cores: 0,
-            cube_participants: Vec::new(),
             resume_cycle: 0,
             report_cycle: 0,
             prefix_completed: false,
@@ -700,34 +372,12 @@ impl System {
     }
 
     /// Number of cubes the backend actually instantiated (0 for the DRAM
-    /// baseline) — the source of truth for the slot tables and the shard
-    /// count.
+    /// baseline) — the source of truth for the slot tables.
     fn backend_cube_count(backend: &Backend) -> usize {
         match backend {
             Backend::Dram(_) => 0,
             Backend::Hmc(hmc) => hmc.cubes.len(),
         }
-    }
-
-    /// Sets the thread count of the sharded event-driven kernel: within a
-    /// cycle, due cube shards (each cube with its Active-Routing engine)
-    /// tick concurrently on a persistent worker pool, and their cross-shard
-    /// effects are merged in cube-index order at the sub-phase boundary, so
-    /// the [`SimReport`] is byte-identical for every thread count.
-    ///
-    /// `1` (the default) keeps the fully serial kernel; `0` resolves to the
-    /// machine's available parallelism. This low-level knob uses explicit
-    /// counts *as given* — [`crate::SimulationBuilder::threads`] is the
-    /// policy layer that clamps requests to the host's parallelism, because
-    /// oversubscribed workers can only add scheduling overhead, never
-    /// speedup (the report is identical either way). The unclamped form is
-    /// what lets the pool path be exercised on any host.
-    /// [`System::run_lockstep`] ignores the knob — the lock-step reference
-    /// is always serial.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Enables or disables bulk compute fast-forwarding in the event-driven
@@ -748,54 +398,6 @@ impl System {
     #[must_use]
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
-        self
-    }
-
-    /// Enables or disables system-level offload-drain fast-forwarding in the
-    /// event-driven kernel (default: enabled).
-    ///
-    /// When enabled, a cluster caught in the MI-full offload regime — every
-    /// runnable core issuing a head run of `Update` items against a
-    /// back-pressuring Message Interface, no memory responses or gather
-    /// completions in flight, the host controller idle — has its whole drain
-    /// schedule computed in closed form (the `drain` planner module)
-    /// instead of being
-    /// ticked every core cycle: the cores' retire/issue/stall effects commit
-    /// in one shot, and only the per-cycle host-controller submissions are
-    /// replayed at their true network cycles, so the memory side sees
-    /// exactly the packet sequence per-cycle ticking would have produced.
-    /// Windows end before any IPC sample boundary, observer-visible event,
-    /// cycle limit or regime change, so the [`SimReport`] is byte-identical
-    /// either way — the knob only decides wall-clock placement of the work,
-    /// which is what lets the equivalence suite carry an on/off axis and the
-    /// bench regression gate compare the two. [`System::run_lockstep`]
-    /// ignores the knob: the per-cycle reference is the oracle the planned
-    /// schedule is validated against.
-    #[must_use]
-    pub fn with_drain_fast_forward(mut self, enabled: bool) -> Self {
-        self.drain_fast_forward = enabled;
-        self
-    }
-
-    /// Enables or disables bounded-lag cross-cycle execution in the
-    /// event-driven kernel (default: enabled).
-    ///
-    /// When enabled, a cube shard whose engine is idle may run ahead of the
-    /// global clock inside a conservative window: per-shard-pair lookahead
-    /// (minimum network delivery latencies, precomputed from the topology)
-    /// bounds the earliest cycle any other shard could still influence the
-    /// cube, and the cube's private calendar is advanced event by event
-    /// strictly below that horizon. Every vault response popped along the way
-    /// is stamped with its true cycle and merged into the completion stream
-    /// only when the global clock reaches it, in the same (cycle, cube-index)
-    /// order as per-cycle ticking — so the [`SimReport`] is byte-identical
-    /// either way, and the knob only decides wall-clock placement of the
-    /// work. That is what lets the equivalence suite carry an on/off axis
-    /// and the bench regression gate compare the two. [`System::run_lockstep`]
-    /// ignores the knob: the per-cycle reference never runs ahead.
-    #[must_use]
-    pub fn with_cross_cycle(mut self, enabled: bool) -> Self {
-        self.cross_cycle = enabled;
         self
     }
 
@@ -825,24 +427,11 @@ impl System {
     /// Runs the event-driven kernel and also returns the run's
     /// [`RunFootprint`] — the simulator's own peak in-flight storage.
     ///
-    /// Like [`System::run_counting_windows`], the extra value is diagnostic
-    /// only and never appears in the [`SimReport`]: reports are pinned
-    /// byte-identical across kernels and golden snapshots, while the
-    /// footprint describes the simulator process, not the simulated machine.
+    /// The extra value is diagnostic only and never appears in the
+    /// [`SimReport`]: reports are pinned byte-identical across kernels and
+    /// golden snapshots, while the footprint describes the simulator
+    /// process, not the simulated machine.
     pub fn run_with_footprint(self) -> (SimReport, RunFootprint) {
-        let (report, _, footprint) = self.run_with_diagnostics(false, &mut []);
-        (report, footprint)
-    }
-
-    /// Runs the event-driven kernel and also returns the number of
-    /// cross-cycle run-ahead windows the run armed (the consuming signature
-    /// of [`System::run`] hides the [`System::cross_cycle_windows`] probe).
-    ///
-    /// The count is diagnostic only — it never appears in the
-    /// [`SimReport`] — and exists so the property suite and the bench
-    /// regression gate can assert that bounded-lag execution genuinely
-    /// engaged on a run, not just that its report matched.
-    pub fn run_counting_windows(self) -> (SimReport, u64) {
         self.run_with(false, &mut [])
     }
 
@@ -871,21 +460,15 @@ impl System {
         self.run_with(true, observers).0
     }
 
-    fn run_with(self, lockstep: bool, observers: &mut [Box<dyn Observer>]) -> (SimReport, u64) {
-        let (report, windows, _) = self.run_with_diagnostics(lockstep, observers);
-        (report, windows)
-    }
-
-    fn run_with_diagnostics(
+    fn run_with(
         mut self,
         lockstep: bool,
         observers: &mut [Box<dyn Observer>],
-    ) -> (SimReport, u64, RunFootprint) {
+    ) -> (SimReport, RunFootprint) {
         let max_cycles = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
         let mut hub = ObserverHub::new(observers);
         hub.start(&RunInfo { workload: &self.workload, config_label: &self.label, cfg: &self.cfg });
         let (now, completed) = self.advance(max_cycles, lockstep, &mut hub);
-        let windows = self.cross_cycle_windows;
         let footprint = match &self.backend {
             Backend::Hmc(hmc) => RunFootprint {
                 peak_packets_in_flight: hmc.network.peak_in_flight(),
@@ -895,7 +478,7 @@ impl System {
         };
         let report = self.into_report(now, completed);
         hub.finish(&report);
-        (report, windows, footprint)
+        (report, footprint)
     }
 
     /// Runs the kernel loop from [`System::resume_cycle`] up to `max_cycles`
@@ -924,11 +507,7 @@ impl System {
             return (self.report_cycle.min(max_cycles), self.prefix_completed);
         }
         let start = self.resume_cycle;
-        // The calendar is sharded by `SysKey::shard` (cores | dram | network
-        // | per-cube); its merged pop yields the same sorted due sets a
-        // single calendar would, so both kernels run on it unchanged.
-        let shard_count = SysKey::FIXED_SHARDS + Self::backend_cube_count(&self.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
+        let mut sched: Scheduler<SysKey> = Scheduler::new();
         sched.wake(SysKey::Cores);
         // `next_ipc_boundary` of the cycle *before* the resume point: for a
         // fresh run this is `next_ipc_boundary(0)` exactly as before, and on
@@ -951,15 +530,6 @@ impl System {
                 }
             }
         }
-        // The worker pool that ticks due cube shards concurrently. Spawned
-        // once per run and reused every cycle; only the event-driven kernel
-        // on the HMC backend has shard parallelism to exploit.
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
-        let mut pool = (!lockstep && threads > 1 && matches!(self.backend, Backend::Hmc(_)))
-            .then(|| WorkerPool::new(threads));
         let mut due: Vec<SysKey> = Vec::new();
         let mut now: Cycle = start;
         let mut completed = false;
@@ -972,7 +542,7 @@ impl System {
         let mut first_unprocessed = max_cycles;
         while now < max_cycles {
             sched.pop_due_into(now, &mut due);
-            self.step(now, (!lockstep).then_some(&due), &mut sched, hub, pool.as_mut());
+            self.step(now, (!lockstep).then_some(&due), &mut sched, hub);
             if self.is_finished() {
                 completed = true;
                 first_unprocessed = now + 1;
@@ -1020,24 +590,13 @@ impl System {
     /// prefix.
     ///
     /// The prefix boundary is enforced exactly like a configured cycle
-    /// limit: the fast-forward window planners cap their horizons at it, so
-    /// no planned drain injection or run-ahead replay entry crosses the
-    /// boundary, and a later [`System::run`] (or another prefix) continues
+    /// limit, and a later [`System::run`] (or another prefix) continues
     /// byte-identically to a single uninterrupted run. A `until` at or past
     /// the configured `max_cycles` simply runs to that limit.
     pub fn run_prefix(&mut self, until: Cycle, lockstep: bool) -> bool {
         let real_limit = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
-        let stop = until.min(real_limit);
-        // Arming horizons read `cfg.max_cycles` — pin it to the prefix stop
-        // for the duration so no window reaches past the boundary, then
-        // restore the real limit (configuration travels as code; only the
-        // dynamic state below is checkpointed).
-        let saved = self.cfg.max_cycles;
-        self.cfg.max_cycles = stop;
         let mut hub = ObserverHub::new(&mut []);
-        let (_, completed) = self.advance(stop, lockstep, &mut hub);
-        self.cfg.max_cycles = saved;
-        completed
+        self.advance(until.min(real_limit), lockstep, &mut hub).1
     }
 
     /// The configuration the system was built from.
@@ -1072,12 +631,10 @@ impl System {
     ///
     /// Only *dynamic* state travels: the configuration, labels, workload
     /// streams and every piece of derived bookkeeping (address map, busy
-    /// counters, wake gates, scratch buffers, planner state) are
-    /// reconstructed from code by [`System::load_state`]. Snapshots are taken
-    /// at a settled run boundary — after [`System::run_prefix`] or a finished
-    /// run — where every core is settled, no offload-drain window is open and
-    /// no run-ahead replay is pending: the window planners cap their horizons
-    /// at the boundary precisely so this holds.
+    /// counters, wake gates, scratch buffers) are reconstructed from code by
+    /// [`System::load_state`]. Snapshots are taken at a settled run boundary
+    /// — after [`System::run_prefix`] or a finished run — where every core is
+    /// settled.
     ///
     /// Identifiers carrying tag bits (request/transaction/vault ids,
     /// addresses) travel as hex bit patterns, functional-memory values and
@@ -1086,18 +643,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if called away from a run boundary (unflushed drain
-    /// injections, pending run-ahead replays, or an unsettled core), which
+    /// Panics if called away from a run boundary (an unsettled core), which
     /// would make the snapshot lossy.
     pub fn state_to_json(&self) -> Json {
-        assert!(
-            self.drain_outbox.is_empty(),
-            "snapshot requires a flushed drain window (run to a prefix boundary first)"
-        );
-        assert!(
-            self.run_ahead.iter().all(|w| w.replay.is_empty()),
-            "snapshot requires drained run-ahead windows (run to a prefix boundary first)"
-        );
         let mut func_mem: Vec<(u64, f64)> =
             self.func_mem.iter().map(|(addr, value)| (*addr, *value)).collect();
         func_mem.sort_by_key(|(addr, _)| *addr);
@@ -1214,8 +762,6 @@ impl System {
             ("last_ipc_sample_insns", Json::from(self.last_ipc_sample_insns)),
             ("hmc_bytes", Json::from(self.hmc_bytes)),
             ("back_invalidations", Json::from(self.back_invalidations)),
-            ("drain_windows", Json::from(self.drain_windows)),
-            ("cross_cycle_windows", Json::from(self.cross_cycle_windows)),
             ("resume_cycle", Json::from(self.resume_cycle)),
             ("report_cycle", Json::from(self.report_cycle)),
             ("completed", Json::from(self.prefix_completed)),
@@ -1412,8 +958,6 @@ impl System {
         self.last_ipc_sample_insns = doc.req_u64("last_ipc_sample_insns")?;
         self.hmc_bytes = doc.req_u64("hmc_bytes")?;
         self.back_invalidations = doc.req_u64("back_invalidations")?;
-        self.drain_windows = doc.req_u64("drain_windows")?;
-        self.cross_cycle_windows = doc.req_u64("cross_cycle_windows")?;
         self.resume_cycle = resume_cycle;
         self.report_cycle = report_cycle;
         self.prefix_completed = completed;
@@ -1421,14 +965,6 @@ impl System {
         // ------------------------------------------------------------------
         // Derived state: recomputed, never trusted from the document.
         // ------------------------------------------------------------------
-        self.drain_until = 0;
-        self.drain_outbox.clear();
-        self.arm_backoff_until = 0;
-        self.active_windows = 0;
-        for window in &mut self.run_ahead {
-            debug_assert!(window.replay.is_empty(), "restore onto a fresh system");
-            window.until = 0;
-        }
         self.armq.clear();
         self.arm_flags.fill(false);
         self.cores_done = self.cores.iter().filter(|c| c.is_done()).count();
@@ -1470,9 +1006,8 @@ impl System {
         &mut self,
         now: Cycle,
         due: Option<&[SysKey]>,
-        sched: &mut ShardedScheduler<SysKey>,
+        sched: &mut Scheduler<SysKey>,
         hub: &mut ObserverHub<'_>,
-        pool: Option<&mut WorkerPool>,
     ) {
         debug_assert!(self.armq.is_empty());
         let is_due = |key: SysKey| due.is_none_or(|set| set.binary_search(&key).is_ok());
@@ -1490,19 +1025,7 @@ impl System {
             // event or the interval's end. The lock-step reference keeps
             // ticking every core per cycle — and never arms an interval — so
             // it stays the per-cycle oracle the settle arithmetic must match.
-            let event_kernel = due.is_some();
-            if event_kernel && now < self.drain_until {
-                // A planned offload-drain window covers this cycle: every
-                // core's pipeline state was already committed to the window
-                // end when the window was armed, so the cluster only replays
-                // the window's host-controller submissions due now — at
-                // their true cycles and in their true order, keeping the
-                // memory side cycle-exact.
-                self.flush_drain_outbox(now);
-                sched.schedule_next(self.cores_next_wake(now), SysKey::Cores);
-            } else {
-                self.step_cores(now, ratio, event_kernel, sched, hub);
-            }
+            self.step_cores(now, ratio, due.is_some(), sched, hub);
         }
 
         // ------------------------------------------------------------------
@@ -1517,7 +1040,7 @@ impl System {
                 let dram_due = is_due(SysKey::Dram) || self.stimulated(SysKey::Dram);
                 self.step_dram(now, dram_due);
             }
-            Backend::Hmc(_) => self.step_hmc(now, due, hub, pool),
+            Backend::Hmc(_) => self.step_hmc(now, due, hub),
         }
 
         // ------------------------------------------------------------------
@@ -1553,17 +1076,15 @@ impl System {
         self.armq = touched;
     }
 
-    /// The normal cores phase of one network cycle: the per-core-cycle
-    /// sub-loop (completion delivery, pipeline wakes, memory issue), barrier
-    /// release, the Message-Interface drain, and — in the event kernel — an
-    /// attempt to arm a new offload-drain window before the cluster's next
-    /// wake-up is scheduled.
+    /// The cores phase of one network cycle: the per-core-cycle sub-loop
+    /// (completion delivery, pipeline wakes, memory issue), barrier release
+    /// and the Message-Interface drain, then the cluster's next wake-up.
     fn step_cores(
         &mut self,
         now: Cycle,
         ratio: u64,
         event_kernel: bool,
-        sched: &mut ShardedScheduler<SysKey>,
+        sched: &mut Scheduler<SysKey>,
         hub: &mut ObserverHub<'_>,
     ) {
         let mut ctx = SchedCtx::new(now);
@@ -1634,14 +1155,6 @@ impl System {
         }
         self.release_barriers(now * ratio, hub);
         self.drain_message_interfaces(now);
-        // With this cycle's per-cycle work done, the cluster may now be in
-        // the purely deterministic offload-drain regime: plan the whole
-        // window in closed form instead of ticking through it. Barrier
-        // release above may have stopped the run through an observer — an
-        // armed window would then leak past the stop, so never arm one.
-        if event_kernel && self.drain_fast_forward && !hub.stopped() {
-            self.try_arm_offload_drain(now);
-        }
         // Re-arm lazily: every network cycle while some core still ticks
         // (or has Message-Interface commands to drain), otherwise only at
         // the next pending completion delivery. A fully parked cluster
@@ -1655,11 +1168,7 @@ impl System {
     fn component_busy(&self, key: SysKey) -> bool {
         match (key, &self.backend) {
             (SysKey::Dram, Backend::Dram(dram)) => !dram.is_idle(),
-            // A cube that ran ahead may already be internally idle while its
-            // replayed completions still wait for the global clock.
-            (SysKey::Cube(c), Backend::Hmc(hmc)) => {
-                !hmc.cubes[c].is_idle() || !self.run_ahead[c].replay.is_empty()
-            }
+            (SysKey::Cube(c), Backend::Hmc(hmc)) => !hmc.cubes[c].is_idle(),
             (SysKey::Engine(c), Backend::Hmc(hmc)) => !hmc.engines[c].is_idle(),
             _ => false,
         }
@@ -1726,15 +1235,6 @@ impl System {
     /// cores idles until the earliest such deadline (or until the memory side
     /// stimulates it).
     fn cores_next_wake(&self, now: Cycle) -> NextWake {
-        // A planned offload-drain window owns the cluster's schedule: the
-        // next wake is the next planned submission (or the window's end,
-        // where normal ticking resumes). This must come first — the dense
-        // per-core gates and MI flags already describe the *post-window*
-        // state, so the checks below would wake the cluster mid-window.
-        if now < self.drain_until {
-            let at = self.drain_outbox.front().map_or(self.drain_until, |inj| inj.cycle);
-            return NextWake::At(at.max(now + 1));
-        }
         // Undrained Message-Interface commands keep the cluster hot (the MI
         // serialises one command per network cycle regardless of the
         // pipeline being blocked).
@@ -1768,20 +1268,7 @@ impl System {
                 .iter()
                 .fold(dram.next_wake(now), |wake, (at, ..)| wake.min_with(NextWake::At(*at))),
             (SysKey::Network, Backend::Hmc(hmc)) => hmc.network.next_wake(now),
-            // A cube inside a run-ahead window wakes at its next replay
-            // stamp (each merges at its exact cycle) and resumes normal
-            // ticking after the window; the cube's own calendar is already
-            // ahead, so querying it from `now` would re-announce events the
-            // window consumed.
-            (SysKey::Cube(c), Backend::Hmc(hmc)) => {
-                let window = &self.run_ahead[c];
-                if window.active(now) {
-                    NextWake::from_next(window.replay.next_at())
-                        .min_with(hmc.cubes[c].next_wake(window.until))
-                } else {
-                    hmc.cubes[c].next_wake(now)
-                }
-            }
+            (SysKey::Cube(c), Backend::Hmc(hmc)) => hmc.cubes[c].next_wake(now),
             (SysKey::Engine(c), Backend::Hmc(hmc)) => hmc.engines[c].next_wake(now),
             // The memory side re-arms a sleeping cluster when it delivers a
             // completion or gather result to it (the cores phase itself
@@ -2025,216 +1512,6 @@ impl System {
         }
     }
 
-    /// Tries to plan an offload-drain window starting after network cycle
-    /// `now` (see [`crate::drain`]). Called at the end of the event kernel's
-    /// cores phase, after this cycle's Message-Interface drain; on success
-    /// every drain core's pipeline state is committed to the window end in
-    /// one shot, the planned submissions are queued in `drain_outbox`, and
-    /// `drain_until` makes the cores phase replay-only until the window
-    /// ends.
-    ///
-    /// The guards establish that nothing outside the plan can touch the
-    /// cluster inside the window:
-    /// * the host controller is idle — no gather barrier can complete, so no
-    ///   gate opens and no observer event fires from the ports;
-    /// * no core memory transaction or completion is in flight — no core can
-    ///   unpark and the memory side cannot stimulate the cluster;
-    /// * every runnable core probes as a pure drain core
-    ///   ([`Core::offload_drain_probe`]); parked and done cores stay inert
-    ///   for the whole window (a barrier cannot release while a drain core
-    ///   still runs), and a compute-fast-forwarding core caps the window
-    ///   before its wake-up;
-    /// * the window closes before the next IPC sample boundary and before
-    ///   the cycle limit, and never opens *on* a boundary — the sample later
-    ///   in this same step must not read counters already advanced past the
-    ///   window.
-    fn try_arm_offload_drain(&mut self, now: Cycle) {
-        debug_assert!(self.drain_until <= now, "armed while a window is still open");
-        let ratio = self.cfg.core_cycles_per_network_cycle();
-        let core_cycle = now * ratio;
-        if core_cycle != 0 && core_cycle.is_multiple_of(IPC_WINDOW_CORE_CYCLES) {
-            return;
-        }
-        // The last network cycle the window may cover.
-        let mut horizon = self.next_ipc_boundary(now) - 1;
-        if self.cfg.max_cycles != 0 {
-            horizon = horizon.min(self.cfg.max_cycles.saturating_sub(1));
-        }
-        if horizon < now + MIN_DRAIN_CYCLES {
-            return;
-        }
-        match &self.backend {
-            Backend::Hmc(hmc) => match &hmc.controller {
-                Some(controller) if controller.is_idle() => {}
-                _ => return,
-            },
-            Backend::Dram(_) => return,
-        }
-        if !self.core_completions.is_empty() {
-            return;
-        }
-        // In-flight core transactions (loads/atomics awaiting a response)
-        // would deliver mid-window; cache writebacks (`core == usize::MAX`)
-        // never touch the cluster. The map is bounded by the per-core
-        // outstanding-request limits, so this scan is cheap.
-        if self.mem_txns.values().any(|txn| txn.core != usize::MAX) {
-            return;
-        }
-        // Classify every core: runnable cores must probe as drain cores,
-        // sleeping cores must be genuinely inert for the whole window.
-        let since = (now + 1) * ratio;
-        // Deep enough that truncating the probe's run walk can never end a
-        // window early: over `n` cycles a core pushes at most `n` drained
-        // commands plus one queue fill (see `crate::drain`).
-        let max_run = (horizon - now) + self.cfg.cores.mi_queue_depth as u64 + 8;
-        // Reused across windows (cleared here, not at the end: the classify
-        // loop below can bail out half-filled).
-        self.drain_plan_cores.clear();
-        self.drain_plan_states.clear();
-        self.drain_plan_pops.clear();
-        self.drain_plan_commands.clear();
-        self.drain_plan_cursors.clear();
-        for i in 0..self.cores.len() {
-            match self.core_wake_at[i] {
-                0 => {
-                    let Some(probe) = self.cores[i].offload_drain_probe(since, max_run) else {
-                        return;
-                    };
-                    self.drain_plan_cores.push(i);
-                    self.drain_plan_states.push(CoreDrain::new(&probe));
-                }
-                u64::MAX => {
-                    // Parked or done. Such a core never ticks mid-window,
-                    // but a non-empty MI would still demand per-cycle drain
-                    // service the plan does not model.
-                    if !self.cores[i].mi().is_empty() {
-                        return;
-                    }
-                }
-                at => {
-                    // A compute-fast-forwarding core sleeps until core cycle
-                    // `at`: close the window before the network cycle whose
-                    // sub-loop ticks it.
-                    if !self.cores[i].mi().is_empty() {
-                        return;
-                    }
-                    let wake_nc = at / ratio;
-                    if wake_nc <= now + MIN_DRAIN_CYCLES {
-                        return;
-                    }
-                    horizon = horizon.min(wake_nc - 1);
-                }
-            }
-        }
-        if self.drain_plan_cores.is_empty() {
-            return;
-        }
-        // Plan the window on pure scalars (the fast-forward caps above may
-        // have pulled the horizon in).
-        let n = drain::plan(
-            &mut self.drain_plan_states,
-            ratio,
-            horizon - now,
-            MAX_WINDOW_POPS,
-            &mut self.drain_plan_pops,
-        );
-        if n < MIN_DRAIN_CYCLES {
-            return;
-        }
-        // Commit: collect each drain core's submission stream (flat, with a
-        // cursor marking where each core's span starts), expand the pop
-        // schedule into the outbox (cycle-major, core-ascending within a
-        // cycle — exactly the per-cycle drain phase's submission order), and
-        // apply the window to every drain core in one shot.
-        debug_assert!(self.drain_outbox.is_empty(), "outbox left over from a previous window");
-        for slot in 0..self.drain_plan_cores.len() {
-            let i = self.drain_plan_cores[slot];
-            let start = self.drain_plan_commands.len();
-            self.cores[i].peek_drain_commands(
-                self.drain_plan_states[slot].pops,
-                &mut self.drain_plan_commands,
-            );
-            debug_assert_eq!(
-                (self.drain_plan_commands.len() - start) as u64,
-                self.drain_plan_states[slot].pops
-            );
-            self.drain_plan_cursors.push(start);
-        }
-        for &(rel, slot) in &self.drain_plan_pops {
-            let slot = slot as usize;
-            let cmd = self.drain_plan_commands[self.drain_plan_cursors[slot]];
-            self.drain_plan_cursors[slot] += 1;
-            self.drain_outbox.push_back(DrainInjection { cycle: now + rel, cmd });
-        }
-        let end_ready_at = (now + 1 + n) * ratio;
-        for (slot, &i) in self.drain_plan_cores.iter().enumerate() {
-            let st = &self.drain_plan_states[slot];
-            self.cores[i].finish_offload_drain(&OffloadDrainOutcome {
-                core_cycles: n * ratio,
-                end_ready_at,
-                retired: st.retired,
-                stall_offload: st.stall_offload,
-                stall_rob_full: st.stall_rob_full,
-                pushes: st.pushes,
-                pops: st.pops,
-            });
-            debug_assert!(!self.cores[i].is_done(), "a drain window cannot finish a core");
-            // The dense MI flag must describe the post-window queue for the
-            // cycle that resumes normal draining.
-            let mi_now = !self.cores[i].mi().is_empty();
-            if mi_now != self.mi_pending[i] {
-                self.mi_pending[i] = mi_now;
-                if mi_now {
-                    self.mi_pending_cores += 1;
-                } else {
-                    self.mi_pending_cores -= 1;
-                }
-            }
-        }
-        self.drain_until = now + n + 1;
-        self.drain_windows += 1;
-    }
-
-    /// Replays the planned submissions of the current drain window that are
-    /// due at `now`: each command is submitted to the host controller and
-    /// the batch's packets injected exactly as the per-cycle drain phase
-    /// would have, then the back-invalidations apply in submission order.
-    fn flush_drain_outbox(&mut self, now: Cycle) {
-        debug_assert!(now < self.drain_until);
-        let Backend::Hmc(hmc) = &mut self.backend else {
-            debug_assert!(false, "drain windows only arm on the HMC backend");
-            return;
-        };
-        let Some(controller) = hmc.controller.as_mut() else {
-            debug_assert!(false, "drain windows only arm with a host controller");
-            return;
-        };
-        self.host_scratch.clear();
-        while let Some(front) = self.drain_outbox.front() {
-            if front.cycle > now {
-                break;
-            }
-            debug_assert_eq!(front.cycle, now, "a planned submission cycle was skipped");
-            let inj = self.drain_outbox.pop_front().expect("front just checked");
-            controller.submit_into(now, inj.cmd, &mut self.host_scratch);
-        }
-        // Drain windows submit only `Update` commands: packets and
-        // back-invalidations, never gather completions.
-        debug_assert!(self.host_scratch.completions.is_empty());
-        if !self.host_scratch.packets.is_empty() {
-            for (_, packet) in self.host_scratch.packets.drain(..) {
-                hmc.network.inject(now, packet);
-            }
-            Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
-        }
-        for addr in self.host_scratch.back_invalidate.drain(..) {
-            let (copies, _dirty) = self.caches.back_invalidate(addr);
-            if copies > 0 {
-                self.back_invalidations += 1;
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Memory side
     // ------------------------------------------------------------------
@@ -2272,19 +1549,10 @@ impl System {
     /// One HMC-side network cycle, in four sub-phases with the same order as
     /// the original serial loop: the network tick, the per-cube delivery /
     /// engine sub-phase, the per-cube vault-drain sub-phase, and the host
-    /// ports. The two per-cube sub-phases tick their due cube shards through
-    /// tick jobs — concurrently when a [`WorkerPool`] is attached — and every
-    /// cross-shard effect (purpose-map entries, traffic bytes, engine
-    /// outputs, completions, stimuli) goes through a per-shard outbox merged
-    /// in cube-index order at the sub-phase boundary, so the schedule of
-    /// observable effects is byte-identical to the serial kernel.
-    fn step_hmc(
-        &mut self,
-        now: Cycle,
-        due: Option<&[SysKey]>,
-        hub: &mut ObserverHub<'_>,
-        mut pool: Option<&mut WorkerPool>,
-    ) {
+    /// ports. Cubes are visited in ascending index order, and the engine
+    /// outputs of each per-cube sub-phase are applied in that same order once
+    /// every cube has been visited.
+    fn step_hmc(&mut self, now: Cycle, due: Option<&[SysKey]>, hub: &mut ObserverHub<'_>) {
         let is_due = |key: SysKey| due.is_none_or(|set| set.binary_search(&key).is_ok());
         let ratio = self.cfg.core_cycles_per_network_cycle();
         let mut ctx = SchedCtx::new(now);
@@ -2292,180 +1560,70 @@ impl System {
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
 
-        // Expire cross-cycle windows the global clock has caught up with:
-        // the cube's state already reflects local cycle `until`, so normal
-        // ticking resumes at `until + 1` with nothing left to replay (every
-        // replay stamp lies within the window and was drained at its exact
-        // cycle by a scheduled wake).
-        if self.active_windows > 0 {
-            for window in &mut self.run_ahead {
-                if window.until != 0 && now > window.until {
-                    debug_assert!(
-                        window.replay.is_empty(),
-                        "a cross-cycle window expired with undrained replay entries"
-                    );
-                    window.until = 0;
-                    self.active_windows -= 1;
-                }
-            }
-        }
-
         if is_due(SysKey::Network) {
             hmc.network.wake(now, &mut ctx);
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
         }
 
         // 1. Packets delivered at cubes, and the engines' own pipelines: one
-        // tick per cube shard with a pending delivery or a due engine. Taking
-        // the inbox up front is equivalent to the old per-packet pop — no new
-        // delivery can appear at a cube until these outputs are applied. The
-        // participating shard indices live in a persistent scratch, and the
-        // borrow-holding job vector is only materialised when the batch is
-        // worth a worker-pool dispatch — the serial hot path (small batches,
-        // single-threaded hosts) allocates nothing per cycle.
-        let mut participants = std::mem::take(&mut self.cube_participants);
-        participants.clear();
+        // visit per cube with a pending delivery or a due engine. Each
+        // engine's packet handling and pipeline tick accumulate into one
+        // recycled output buffer, so the hot path allocates nothing.
+        let mut are_outputs = std::mem::take(&mut self.are_scratch);
         for c in 0..hmc.cubes.len() {
             let cube_id = CubeId::new(c);
-            if self.run_ahead[c].active(now) {
-                // The causality invariant of bounded-lag execution: the
-                // horizon under which this window was armed guarantees no
-                // delivery reaches the cube — and nothing wakes its (idle at
-                // arming time) engine — before the window has expired. These
-                // oracles back the property suite; a violation would mean an
-                // unsound lookahead bound.
-                debug_assert!(
-                    !hmc.network.has_delivery_at_cube(cube_id),
-                    "a packet reached cube {c} inside its cross-cycle window"
-                );
-                debug_assert!(
-                    hmc.engines[c].is_idle(),
-                    "cube {c}'s engine woke up inside its cross-cycle window"
-                );
-                continue;
-            }
             if !hmc.network.has_delivery_at_cube(cube_id) && !is_due(SysKey::Engine(c)) {
                 continue;
             }
-            hmc.network.drain_at_cube_into(cube_id, &mut self.cube_scratch[c].inbox);
-            participants.push(c);
-        }
-        if pool.is_some() && participants.len() >= PARALLEL_BATCH_MIN {
-            let mut jobs: Vec<CubeDeliveryJob<'_>> = Vec::with_capacity(participants.len());
-            let mut next = participants.iter().peekable();
-            for ((c, (cube, engine)), scratch) in hmc
-                .cubes
-                .iter_mut()
-                .zip(hmc.engines.iter_mut())
-                .enumerate()
-                .zip(self.cube_scratch.iter_mut())
-            {
-                if next.peek() == Some(&&c) {
-                    next.next();
-                    jobs.push(CubeDeliveryJob { cube, engine, scratch });
+            let mut out = self.are_spare.pop().unwrap_or_default();
+            while let Some(packet) = hmc.network.pop_at_cube(cube_id) {
+                match &packet.kind {
+                    PacketKind::ReadReq { req_id, addr }
+                    | PacketKind::WriteReq { req_id, addr } => {
+                        let is_write = matches!(packet.kind, PacketKind::WriteReq { .. });
+                        let id = *req_id;
+                        let addr = *addr;
+                        self.vault_purpose.insert(id, VaultPurpose::Normal { txn: id });
+                        let req = if is_write {
+                            VaultRequest::write(id, addr)
+                        } else {
+                            VaultRequest::read(id, addr)
+                        };
+                        let _ = hmc.cubes[c].try_push(now, req);
+                        Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
+                        self.hmc_bytes += 64;
+                    }
+                    PacketKind::ReadResp { .. } | PacketKind::WriteAck { .. } => {
+                        // Responses are only ever destined to host ports.
+                    }
+                    PacketKind::Active(_) => {
+                        hmc.engines[c].handle_packet_into(now, packet, &mut out);
+                    }
                 }
             }
-            run_shard_jobs(pool.as_deref_mut(), &mut jobs, |job| job.tick(now));
-        } else {
-            for &c in &participants {
-                CubeDeliveryJob {
-                    cube: &mut hmc.cubes[c],
-                    engine: &mut hmc.engines[c],
-                    scratch: &mut self.cube_scratch[c],
-                }
-                .tick(now);
-            }
-        }
-        // Merge the outboxes in cube-index order (participants are
-        // ascending): the per-cube accumulators are applied one after the
-        // other, so every network injection and vault push lands in the same
-        // order as the serial per-cube loop. Each accumulator is drained in
-        // place and handed back to its outbox, so its capacity persists
-        // across cycles.
-        debug_assert!(
-            participants.windows(2).all(|w| w[0] < w[1]),
-            "per-cube outboxes must merge in ascending cube-index order \
-             (same-cycle packets queue per link in merge order)"
-        );
-        for &c in &participants {
-            let outbox = &mut self.cube_scratch[c].outbox;
-            for id in outbox.normal_ids.drain(..) {
-                self.vault_purpose.insert(id, VaultPurpose::Normal { txn: id });
-            }
-            self.hmc_bytes += outbox.hmc_bytes;
-            outbox.hmc_bytes = 0;
-            if outbox.cube_stimulated {
-                outbox.cube_stimulated = false;
-                Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
-            }
+            hmc.engines[c].tick_into(now, &mut out);
+            are_outputs.push((c, out));
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Engine(c));
-            let mut out = std::mem::take(&mut self.cube_scratch[c].outbox.are_output);
-            self.apply_cube_output(now, c, &mut out);
-            self.cube_scratch[c].outbox.are_output = out;
         }
-        self.cube_participants = participants;
+        self.apply_are_outputs(now, &mut are_outputs);
 
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
 
-        // 2. Advance the cubes and collect vault completions: one tick per
-        // cube shard that is due — or was stimulated earlier this cycle
-        // (sub-phase 1 pushes vault requests whose crossbar latency may be
-        // zero). Same placement rule as sub-phase 1: the job vector only
-        // exists for a pool dispatch.
-        let mut participants = std::mem::take(&mut self.cube_participants);
-        participants.clear();
-        for c in 0..hmc.cubes.len() {
-            if is_due(SysKey::Cube(c)) || self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
-                participants.push(c);
-            }
-        }
-        // A cube inside an active cross-cycle window was already advanced
-        // through this cycle when its window armed: it stays in the
-        // participant list (its replayed completions merge below in the same
-        // cube-index order), but must not be ticked again.
-        if pool.is_some() && participants.len() >= PARALLEL_BATCH_MIN {
-            let mut jobs: Vec<VaultDrainJob<'_>> = Vec::with_capacity(participants.len());
-            let mut next = participants.iter().peekable();
-            for ((c, cube), scratch) in
-                hmc.cubes.iter_mut().enumerate().zip(self.cube_scratch.iter_mut())
-            {
-                if next.peek() == Some(&&c) {
-                    next.next();
-                    if !self.run_ahead[c].active(now) {
-                        jobs.push(VaultDrainJob { cube, scratch });
-                    }
-                }
-            }
-            run_shard_jobs(pool.as_deref_mut(), &mut jobs, |job| job.tick(now));
-        } else {
-            for &c in &participants {
-                if self.run_ahead[c].active(now) {
-                    continue;
-                }
-                VaultDrainJob { cube: &mut hmc.cubes[c], scratch: &mut self.cube_scratch[c] }
-                    .tick(now);
-            }
-        }
+        // 2. Advance the cubes and collect vault completions: one visit per
+        // cube that is due — or was stimulated earlier this cycle (sub-phase
+        // 1 pushes vault requests whose crossbar latency may be zero).
         let mut vault_completions = std::mem::take(&mut self.completion_scratch);
-        for &c in &participants {
-            if self.run_ahead[c].active(now) {
-                // Replay the run-ahead window's completions due this cycle:
-                // they were popped at exactly this local cycle during the
-                // run-ahead, so the merged stream is the one per-cycle
-                // ticking would have produced.
-                while let Some((at, resp)) = self.run_ahead[c].replay.pop_due(now) {
-                    debug_assert_eq!(at, now, "a replayed completion missed its merge cycle");
-                    vault_completions.push((c, resp));
-                }
-            } else {
-                let scratch = &mut self.cube_scratch[c];
-                vault_completions.extend(scratch.completions.drain(..).map(|resp| (c, resp)));
+        for (c, cube) in hmc.cubes.iter_mut().enumerate() {
+            if !is_due(SysKey::Cube(c)) && !self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
+                continue;
+            }
+            cube.wake(now, &mut ctx);
+            while let Some(resp) = cube.pop_response(now) {
+                vault_completions.push((c, resp));
             }
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
         }
-        self.cube_participants = participants;
-        let mut are_outputs = std::mem::take(&mut self.are_scratch);
         for (c, resp) in vault_completions.drain(..) {
             match self.vault_purpose.remove(&resp.id) {
                 Some(VaultPurpose::Normal { txn }) => {
@@ -2565,206 +1723,6 @@ impl System {
             }
         }
         self.host_scratch = scratch;
-
-        // With the cycle's observable effects committed, eligible cube
-        // shards may now run ahead of the global clock under conservative
-        // horizons. Event kernel only — the lock-step reference never runs
-        // ahead — and never past an observer stop (an armed window would
-        // leak work past the stop).
-        if due.is_some() && self.cross_cycle && !hub.stopped() {
-            self.try_arm_cross_cycle(now, pool);
-        }
-    }
-
-    /// Attempts to open bounded-lag run-ahead windows on eligible cube
-    /// shards.
-    ///
-    /// A cube is eligible when its engine is idle (an idle engine holds no
-    /// outstanding operand reads, so the cube's pending work can only emit
-    /// host-bound responses) and its next wake-up lies strictly below its
-    /// *horizon*: the earliest cycle at which any other shard could still
-    /// deliver an influence to it, folded from the per-shard-pair lookahead
-    /// table and each shard's earliest possible emission. Eligible cubes are
-    /// advanced event by event to their horizon on the worker pool (they own
-    /// disjoint state), their popped responses parked in per-cube replay
-    /// queues; the normal sub-phases then skip them until the global clock
-    /// catches up, merging the replay entries at their exact cycles.
-    ///
-    /// Windows never overlap in time (`active_windows == 0` is an arming
-    /// precondition) and arming is skipped entirely while packets are in
-    /// flight — the interesting shadow (cores parked on vault-latency-bound
-    /// accesses, network drained) has none, and it keeps the horizon fold to
-    /// state every shard exposes in O(1). A failed attempt backs off for
-    /// [`MIN_CROSS_CYCLE_WINDOW`] cycles so traffic-heavy regimes (where
-    /// horizons stay tight for long stretches) don't pay the fold per cycle.
-    fn try_arm_cross_cycle(&mut self, now: Cycle, pool: Option<&mut WorkerPool>) {
-        if self.active_windows != 0 || now < self.arm_backoff_until {
-            return;
-        }
-        let Some(lookahead) = &self.lookahead else { return };
-        // Effective cycle limit: a window must not run past the last cycle
-        // the kernel would process.
-        let max_cycles = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
-        if now + MIN_CROSS_CYCLE_WINDOW >= max_cycles {
-            return;
-        }
-        // Bail on in-flight traffic first — the common case in busy regimes,
-        // and O(1) — before paying for the host-side wake fold.
-        {
-            let Backend::Hmc(hmc) = &self.backend else { return };
-            if hmc.network.has_pending_delivery() {
-                self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-                return;
-            }
-        }
-        // The host side's earliest spontaneous activity (core ticks, pending
-        // completion deliveries, planned drain-window submissions) — anything
-        // it injects reaches cube `c` no earlier than `host_to_cube(c)`
-        // later. Computed before the backend borrow below.
-        let cores_wake = self.cores_next_wake(now);
-        if let NextWake::At(at) = cores_wake {
-            // Fast bail: if host activity reaches even the *closest* cube
-            // before the minimum window, no cube's horizon can qualify —
-            // skip the per-cube fold entirely. This is the common case
-            // whenever the cores are actively computing or offloading.
-            if at.saturating_add(lookahead.min_host_to_cube()) < now + MIN_CROSS_CYCLE_WINDOW {
-                self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-                return;
-            }
-        }
-        let Backend::Hmc(hmc) = &mut self.backend else { return };
-        let hmc = hmc.as_mut();
-        // Earliest in-flight arrival per cube (direct influence) and overall
-        // (indirect influence: an arrival anywhere can be re-emitted, paying
-        // at least one more hop — host ports are at least one hop from every
-        // cube — before reaching another cube).
-        let any_arrival = hmc.network.inflight_arrival_bounds(&mut self.arrival_scratch);
-        let hop_latency = self.cfg.network.hop_latency;
-        let cores_bound = match cores_wake {
-            NextWake::At(at) => Some(at),
-            NextWake::Idle => None,
-        };
-        // No idle engine means no candidate cube: skip the per-vault probe
-        // pass entirely (the common state while ARE flows are live).
-        if !hmc.engines.iter().any(|engine| engine.is_idle()) {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-            return;
-        }
-        // One O(vaults) probe per cube up front — the pair fold below then
-        // reads each cube's emission state in O(1).
-        self.emit_scratch.clear();
-        self.emit_scratch.extend((0..hmc.cubes.len()).map(|d| {
-            (
-                hmc.cubes[d].earliest_response_at(now),
-                hmc.engines[d].is_idle(),
-                hmc.engines[d].next_wake(now),
-            )
-        }));
-        let mut armed = 0usize;
-        for c in 0..hmc.cubes.len() {
-            let (self_emit, engine_idle, _) = self.emit_scratch[c];
-            if !engine_idle {
-                continue;
-            }
-            let NextWake::At(first) = hmc.cubes[c].next_wake(now) else { continue };
-            // Fold the horizon: the earliest cycle any influence could still
-            // reach cube `c`.
-            let mut horizon = Horizon::unbounded();
-            horizon.cap(max_cycles);
-            horizon.cap(self.arrival_scratch[c]);
-            horizon.cap_event(any_arrival, hop_latency);
-            horizon.cap_event(cores_bound, lookahead.host_to_cube(c));
-            for (d, &(emit, idle, engine_wake)) in self.emit_scratch.iter().enumerate() {
-                if d == c {
-                    continue;
-                }
-                let Some(emit) = emit else {
-                    // Nothing pending and an idle engine never wakes on its
-                    // own; a busy engine with an empty cube still can.
-                    match engine_wake {
-                        NextWake::At(at) => {
-                            horizon.cap(
-                                at.saturating_add(
-                                    lookahead
-                                        .cube_to_cube(d, c)
-                                        .min(lookahead.cube_to_host(d) + lookahead.host_to_cube(c)),
-                                ),
-                            );
-                        }
-                        NextWake::Idle => {}
-                    }
-                    continue;
-                };
-                let emit = match engine_wake {
-                    // A busy engine can emit active packets straight to
-                    // another cube when it next wakes.
-                    NextWake::At(at) => emit.min(at),
-                    NextWake::Idle => emit,
-                };
-                let reach = if idle {
-                    // Idle engine: every emission is a host-bound vault
-                    // response; the shortest way back to cube `c` bounces
-                    // through a host port.
-                    lookahead.cube_to_host(d) + lookahead.host_to_cube(c)
-                } else {
-                    lookahead
-                        .cube_to_cube(d, c)
-                        .min(lookahead.cube_to_host(d) + lookahead.host_to_cube(c))
-                };
-                horizon.cap(emit.saturating_add(reach));
-            }
-            // The cube's own emissions can come back at it through the host.
-            if let Some(emit) = self_emit {
-                horizon.cap(
-                    emit.saturating_add(lookahead.cube_to_host(c) + lookahead.host_to_cube(c)),
-                );
-            }
-            let horizon = horizon.cycle();
-            if !(first > now && first < horizon) {
-                continue;
-            }
-            if horizon < now + MIN_CROSS_CYCLE_WINDOW {
-                continue;
-            }
-            self.window_candidates.push((c, horizon));
-        }
-        if self.window_candidates.is_empty() {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-            return;
-        }
-        // Run the eligible cubes ahead — concurrently when a pool is
-        // attached; the jobs own disjoint cube/window pairs.
-        {
-            let mut jobs: Vec<RunAheadJob<'_>> = Vec::with_capacity(self.window_candidates.len());
-            let mut next = self.window_candidates.iter().peekable();
-            for ((c, cube), window) in
-                hmc.cubes.iter_mut().enumerate().zip(self.run_ahead.iter_mut())
-            {
-                if let Some(&&(cand, horizon)) = next.peek() {
-                    if cand == c {
-                        next.next();
-                        jobs.push(RunAheadJob { cube, window, from: now, horizon });
-                    }
-                }
-            }
-            run_shard_jobs(pool, &mut jobs, |job| job.run());
-        }
-        // Commit in ascending cube order: count the windows that actually
-        // advanced and re-arm their scheduler entries so the replay stamps
-        // (and the post-window wake) are visited at their exact cycles.
-        for &(c, _) in &self.window_candidates {
-            if self.run_ahead[c].until == 0 {
-                continue;
-            }
-            armed += 1;
-            Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
-        }
-        self.window_candidates.clear();
-        if armed == 0 {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-        }
-        self.active_windows += armed;
-        self.cross_cycle_windows += armed as u64;
     }
 
     /// Applies collected engine outputs (network injections, operand vault
@@ -2887,7 +1845,6 @@ impl System {
                     && hmc.cubes.iter().all(HmcCube::is_idle)
                     && hmc.engines.iter().all(ActiveRoutingEngine::is_idle)
                     && hmc.controller.as_ref().map(HostOffloadController::is_idle).unwrap_or(true)
-                    && self.run_ahead.iter().all(|w| w.replay.is_empty())
             }
         }
     }
@@ -2898,23 +1855,6 @@ impl System {
     #[cfg(test)]
     fn cores_fast_forwarding(&self) -> usize {
         self.cores.iter().filter(|c| c.fast_forward_until().is_some()).count()
-    }
-
-    /// Number of offload-drain windows planned so far. A diagnostic: the
-    /// whole point of the planner is that reports cannot tell a planned
-    /// window from per-cycle ticking, so the only observable trace is this
-    /// counter (the kernel tests and the bench harness read it).
-    pub fn drain_windows(&self) -> u64 {
-        self.drain_windows
-    }
-
-    /// Number of cross-cycle run-ahead windows armed so far. A diagnostic
-    /// with the same contract as [`System::drain_windows`]: reports cannot
-    /// tell bounded-lag execution from per-cycle ticking, so this counter is
-    /// the only observable trace (the kernel tests and the bench harness
-    /// read it).
-    pub fn cross_cycle_windows(&self) -> u64 {
-        self.cross_cycle_windows
     }
 
     fn into_report(self, network_cycles: u64, completed: bool) -> SimReport {
@@ -3041,15 +1981,14 @@ mod tests {
     /// Drives `steps` cycles through `System::step` the way `run_with` does,
     /// in event (`Some(due)`) or lock-step (`None`) mode.
     fn drive_steps(sys: &mut System, event: bool, steps: u64) {
-        let shard_count = SysKey::FIXED_SHARDS + System::backend_cube_count(&sys.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
+        let mut sched: Scheduler<SysKey> = Scheduler::new();
         sched.wake(SysKey::Cores);
         sched.schedule(sys.next_ipc_boundary(0), SysKey::Ipc);
         let mut due: Vec<SysKey> = Vec::new();
         let mut hub = ObserverHub::new(&mut []);
         for now in 0..steps {
             sched.pop_due_into(now, &mut due);
-            sys.step(now, event.then_some(&due[..]), &mut sched, &mut hub, None);
+            sys.step(now, event.then_some(&due[..]), &mut sched, &mut hub);
         }
     }
 
@@ -3091,191 +2030,5 @@ mod tests {
             }
             NextWake::Idle => panic!("a fast-forwarding cluster still has scheduled work"),
         }
-    }
-
-    /// A system whose cores each issue a long run of `Update` offloads — the
-    /// MI-full drain regime of the offload-drain fast-forward.
-    fn offload_run_system() -> System {
-        let mut cfg = SystemConfig::small().with_scheme(ar_types::config::OffloadScheme::ArfTid);
-        cfg.max_cycles = 1_000_000;
-        let streams = (0..cfg.cores.count)
-            .map(|t| {
-                let mut s = WorkStream::new(ThreadId::new(t));
-                for i in 0..2_000u64 {
-                    s.push(WorkItem::Update {
-                        op: ar_types::ReduceOp::Sum,
-                        src1: Addr::new(0x10_0000 + (t as u64 * 2_000 + i) * 8),
-                        src2: None,
-                        imm: None,
-                        target: Addr::new(0x80_0000 + t as u64 * 64),
-                    });
-                }
-                s.push(WorkItem::Gather {
-                    target: Addr::new(0x80_0000 + t as u64 * 64),
-                    op: ar_types::ReduceOp::Sum,
-                    num_threads: 1,
-                    wait: true,
-                });
-                s
-            })
-            .collect();
-        System::new(cfg, streams, Vec::new()).expect("valid configuration")
-    }
-
-    /// The drain-window arming probe: reports are byte-identical with and
-    /// without the window planner (the equivalence suite owns that axis), so
-    /// this is the one place that verifies the event kernel really plans
-    /// windows in the offload regime — and that the lock-step reference and
-    /// the disabled knob never do.
-    #[test]
-    fn event_kernel_plans_drain_windows_on_offload_runs() {
-        let mut sys = offload_run_system();
-        drive_steps(&mut sys, true, 64);
-        assert!(sys.drain_windows() > 0, "the offload regime must arm a drain window");
-
-        let mut lockstep = offload_run_system();
-        drive_steps(&mut lockstep, false, 64);
-        assert_eq!(lockstep.drain_windows(), 0, "the per-cycle oracle must never plan");
-
-        let mut disabled = offload_run_system().with_drain_fast_forward(false);
-        drive_steps(&mut disabled, true, 64);
-        assert_eq!(disabled.drain_windows(), 0, "the knob must gate planning");
-    }
-
-    /// Inside a planned window the cluster must wake only at the planned
-    /// submission cycles, never every network cycle.
-    #[test]
-    fn drain_window_cluster_wakes_at_planned_submissions_only() {
-        let mut sys = offload_run_system();
-        let mut steps = 0;
-        while sys.drain_windows() == 0 {
-            drive_steps(&mut sys, true, steps + 1);
-            steps += 1;
-            assert!(steps < 64, "offload regime must arm within a few cycles");
-            if sys.drain_windows() > 0 {
-                break;
-            }
-            sys = offload_run_system();
-        }
-        assert!(sys.drain_until > 0);
-        let now = sys.drain_until - 1;
-        match sys.cores_next_wake(now.saturating_sub(1)) {
-            NextWake::At(at) => {
-                let front = sys.drain_outbox.front().map_or(sys.drain_until, |inj| inj.cycle);
-                assert_eq!(at, front.max(now), "cluster must wake at the next planned submission");
-            }
-            NextWake::Idle => panic!("a window-covered cluster still has scheduled submissions"),
-        }
-    }
-
-    /// End-to-end: the offload-regime run finishes with the identical report
-    /// whether the drain schedule is planned or ticked, and the planner
-    /// actually covers a substantial share of the run.
-    #[test]
-    fn planned_and_ticked_offload_runs_report_identically() {
-        let planned = offload_run_system().run();
-        let ticked = offload_run_system().with_drain_fast_forward(false).run();
-        let lockstep = offload_run_system().run_lockstep();
-        assert_eq!(planned, ticked, "drain planning must not change the report");
-        assert_eq!(planned, lockstep, "the event kernel must match the per-cycle oracle");
-        assert!(planned.completed);
-        assert_eq!(planned.updates_offloaded, 4 * 2_000);
-    }
-
-    /// A system whose cores all park on cache-missing loads: once the
-    /// requests reach the cubes, the network drains and the vaults grind
-    /// through their access latency with nothing else in flight — the
-    /// latency shadow bounded-lag cross-cycle execution exploits.
-    fn vault_shadow_system() -> System {
-        let mut cfg = SystemConfig::small();
-        cfg.max_cycles = 1_000_000;
-        let streams = (0..cfg.cores.count)
-            .map(|t| {
-                let mut s = WorkStream::new(ThreadId::new(t));
-                for i in 0..64u64 {
-                    s.push(WorkItem::Load(Addr::new(0x40_0000 + (t as u64 * 64 + i) * 4096)));
-                }
-                s
-            })
-            .collect();
-        System::new(cfg, streams, Vec::new()).expect("valid configuration")
-    }
-
-    /// The cross-cycle arming probe: reports are byte-identical with and
-    /// without bounded-lag execution (the equivalence suite owns that axis),
-    /// so this is the one place that verifies the event kernel really opens
-    /// run-ahead windows in a vault-latency shadow — and that the lock-step
-    /// reference and the disabled knob never do.
-    #[test]
-    fn event_kernel_arms_cross_cycle_windows_in_vault_shadows() {
-        // 2000 cycles spans many load/shadow rounds even with the arming
-        // backoff skipping probe cycles.
-        let mut sys = vault_shadow_system();
-        drive_steps(&mut sys, true, 2_000);
-        assert!(
-            sys.cross_cycle_windows() > 0,
-            "a vault-latency shadow must open a cross-cycle window"
-        );
-
-        let mut lockstep = vault_shadow_system();
-        drive_steps(&mut lockstep, false, 2_000);
-        assert_eq!(lockstep.cross_cycle_windows(), 0, "the per-cycle oracle must never run ahead");
-
-        let mut disabled = vault_shadow_system().with_cross_cycle(false);
-        drive_steps(&mut disabled, true, 2_000);
-        assert_eq!(disabled.cross_cycle_windows(), 0, "the knob must gate arming");
-    }
-
-    /// A cube inside a run-ahead window must wake only at its replay stamps
-    /// (each completion merges at its exact cycle), never at the calendar
-    /// events its window already consumed.
-    #[test]
-    fn window_cube_wakes_at_replay_stamps_only() {
-        let mut sys = vault_shadow_system();
-        let shard_count = SysKey::FIXED_SHARDS + System::backend_cube_count(&sys.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
-        sched.wake(SysKey::Cores);
-        sched.schedule(sys.next_ipc_boundary(0), SysKey::Ipc);
-        let mut due: Vec<SysKey> = Vec::new();
-        let mut hub = ObserverHub::new(&mut []);
-        // Step until the first window with a still-pending replay entry.
-        let mut caught = None;
-        for now in 0..2_000u64 {
-            sched.pop_due_into(now, &mut due);
-            sys.step(now, Some(&due[..]), &mut sched, &mut hub, None);
-            if sys.run_ahead.iter().any(|w| w.until != 0 && !w.replay.is_empty()) {
-                caught = Some(now);
-                break;
-            }
-        }
-        let now = caught.expect("the vault shadow must open a window with pending replays");
-        let (c, window) = sys
-            .run_ahead
-            .iter()
-            .enumerate()
-            .find(|(_, w)| w.until != 0 && !w.replay.is_empty())
-            .expect("just observed above");
-        let stamp = window.replay.next_at().expect("non-empty replay");
-        assert!(window.active(now));
-        assert!(stamp > now, "replay stamps always lie ahead of the arming cycle");
-        // The scheduled wake must be the stamp itself, not any earlier
-        // (already-consumed) cube calendar event.
-        match sys.next_wake_of(now, SysKey::Cube(c)) {
-            NextWake::At(at) => assert_eq!(at, stamp, "window cube must wake at its replay stamp"),
-            NextWake::Idle => panic!("a window with replay entries still has scheduled work"),
-        }
-    }
-
-    /// End-to-end: the load-heavy run finishes with the identical report
-    /// whether cube shards run ahead or tick per cycle, against both the
-    /// cross-cycle-off event kernel and the lock-step oracle.
-    #[test]
-    fn cross_cycle_and_per_cycle_runs_report_identically() {
-        let ahead = vault_shadow_system().run();
-        let ticked = vault_shadow_system().with_cross_cycle(false).run();
-        let lockstep = vault_shadow_system().run_lockstep();
-        assert_eq!(ahead, ticked, "bounded-lag execution must not change the report");
-        assert_eq!(ahead, lockstep, "the event kernel must match the per-cycle oracle");
-        assert!(ahead.completed);
     }
 }

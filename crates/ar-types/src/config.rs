@@ -138,6 +138,11 @@ impl fmt::Display for NamedConfig {
     }
 }
 
+/// Largest core count a configuration may have: the coherence directory
+/// tracks L1 sharers in a fixed `MAX_CORES`-bit mask per block, and
+/// [`SystemConfig::validate`] rejects anything wider.
+pub const MAX_CORES: usize = 256;
+
 /// Host core parameters ("CPU Core" row of Table 4.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
@@ -565,6 +570,12 @@ impl SystemConfig {
         if self.cores.count == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
         }
+        if self.cores.count > MAX_CORES {
+            return Err(ConfigError::new(format!(
+                "{} cores exceed the directory's {MAX_CORES}-core sharer mask",
+                self.cores.count
+            )));
+        }
         if self.cores.rob_entries == 0 || self.cores.issue_width == 0 {
             return Err(ConfigError::new("ROB size and issue width must be non-zero"));
         }
@@ -746,6 +757,17 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         assert!(SystemConfig::small().validate().is_ok());
+    }
+
+    #[test]
+    fn core_counts_past_the_sharer_mask_are_rejected() {
+        let mut cfg = SystemConfig::paper();
+        cfg.noc.mesh_width = 17; // 289 tiles: the mesh is not the limit
+        cfg.cores.count = MAX_CORES;
+        assert!(cfg.validate().is_ok());
+        cfg.cores.count = MAX_CORES + 1;
+        let err = cfg.validate().expect_err("257 cores exceed the directory");
+        assert!(err.to_string().contains("sharer mask"), "{err}");
     }
 
     #[test]

@@ -72,48 +72,6 @@ fn bench_kernel_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling of the sharded event-driven kernel: the scheduler
-/// partitions the system into shards (cores | network | per-cube) and ticks
-/// due cube shards on a worker pool, with per-shard outboxes merged in cube
-/// order — reports are byte-identical at every thread count (asserted by the
-/// equivalence suite), so only the wall clock varies here. Requests are
-/// clamped to the host's parallelism: on a small machine the higher counts
-/// degrade to the serial kernel and the rows should read as parity. The
-/// offload configurations (engine + vault work per cube) are where extra
-/// threads can pay off; quick-scale and memory-only runs mostly measure that
-/// the sharding machinery costs nothing.
-fn bench_kernel_threads(c: &mut Criterion) {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    let scales: [(&str, ar_types::config::SystemConfig, SizeClass, usize); 2] = [
-        ("quick", BENCH_SCALE.system_config(), SizeClass::Small, 10),
-        ("paper", ar_experiments::ExperimentScale::Full.system_config(), SizeClass::Paper, 3),
-    ];
-    for (scale, base, size, samples) in scales {
-        let mut group = c.benchmark_group(format!("kernel_threads_{scale}"));
-        group.sample_size(samples);
-        for (name, workload) in [
-            ("pagerank", WorkloadKind::Pagerank),
-            ("spmv", WorkloadKind::Spmv),
-            ("sgemm", WorkloadKind::Sgemm),
-        ] {
-            for threads in THREADS {
-                let build = || {
-                    Simulation::builder()
-                        .config(base.clone())
-                        .named(NamedConfig::ArfTid)
-                        .workload(workload)
-                        .size(size)
-                        .threads(threads)
-                        .build()
-                        .expect("valid configuration")
-                };
-                group.bench_function(&format!("{name}_t{threads}"), |b| b.iter(|| build().run()));
-            }
-        }
-        group.finish();
-    }
-}
-
 /// Bulk compute fast-forwarding on the workload shape it targets: long
 /// compute blocks between cache misses (`bench::ComputeBursts`). The event
 /// kernel computes each block's retire/issue schedule in closed form and
@@ -153,49 +111,6 @@ fn bench_kernel_fastforward(c: &mut Criterion) {
             .bench_function(&format!("{name}_lockstep"), |b| b.iter(|| build(true).run_lockstep()));
     }
     group.finish();
-}
-
-/// The system-level offload-drain fast-forward on the workload shape it
-/// targets: long MI-full `Update` runs (`bench::OffloadBursts`) under the
-/// ARF-tid offload scheme. The event kernel plans each back-pressured drain
-/// interval in closed form (`ar_system::drain`) and sleeps the whole core
-/// cluster until the interval ends, submitting the planned commands from a
-/// precomputed outbox; the `_off` rows run the same simulation with the
-/// planner disabled (per-cycle MI pops, the PR 5 event kernel), and the
-/// lock-step row is the full per-cycle reference. All three produce
-/// byte-identical reports — only the wall clock differs. Quick scale gates
-/// the planner's win on a small cluster; paper scale is the configuration
-/// the figure-regeneration runs actually pay for.
-fn bench_kernel_offload(c: &mut Criterion) {
-    let scales: [(&str, ar_types::config::SystemConfig, usize, usize); 2] = [
-        ("quick", BENCH_SCALE.system_config(), 4_096, 10),
-        ("paper", ar_experiments::ExperimentScale::Full.system_config(), 8_192, 3),
-    ];
-    for (scale, base, updates, samples) in scales {
-        let mut group = c.benchmark_group(format!("kernel_offload_{scale}"));
-        group.sample_size(samples);
-        let bursts = bench::OffloadBursts { updates_per_thread: updates };
-        let build = |drain: bool| {
-            Simulation::builder()
-                .config(base.clone())
-                .named(NamedConfig::ArfTid)
-                .workload(bursts)
-                .size(SizeClass::Tiny)
-                .drain_fast_forward(drain)
-                .build()
-                .expect("valid configuration")
-                .into_system()
-        };
-        let report = build(true).run();
-        println!(
-            "kernel_offload_{scale}: {} simulated network cycles, {} updates offloaded per run",
-            report.network_cycles, report.updates_offloaded
-        );
-        group.bench_function("bursts_drain_fast_forward", |b| b.iter(|| build(true).run()));
-        group.bench_function("bursts_off", |b| b.iter(|| build(false).run()));
-        group.bench_function("bursts_lockstep", |b| b.iter(|| build(true).run_lockstep()));
-        group.finish();
-    }
 }
 
 /// Weak scaling of the event kernel across the machine size classes: the
@@ -239,19 +154,10 @@ fn bench_kernel_weak_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Checkpoint/restore costs and the warm-fan-out sweep pattern. `snapshot`
-/// prices serializing a mid-run system to its checkpoint JSON, `restore`
-/// prices building a simulation back out of one (state decode + load), and
-/// the `fan_out_*` pair compares warm-up-once-then-fan-out (one shared
-/// prefix, N resumed variants) against N cold full runs of the same
-/// report-neutral knob variants — the shared prefix is simulated once
-/// instead of N times, which is the pattern's entire win. All fanned
-/// reports are byte-identical to their cold runs (asserted by the sweep
-/// unit tests and the checkpoint property suite).
+/// Checkpoint/restore costs. `snapshot` prices serializing a mid-run
+/// system to its checkpoint JSON, and `restore` prices building a
+/// simulation back out of one (state decode + load).
 fn bench_kernel_checkpoint(c: &mut Criterion) {
-    use ar_system::{warm_fan_out, CellKey, CellKnobs};
-    use std::sync::Arc;
-
     let base = BENCH_SCALE.system_config();
     let mut group = c.benchmark_group("kernel_checkpoint");
     group.sample_size(10);
@@ -279,37 +185,6 @@ fn bench_kernel_checkpoint(c: &mut Criterion) {
     let ck = warm.checkpoint();
     group.bench_function("restore", |b| {
         b.iter(|| build_restore(&base, ck.clone()).expect("valid restore"))
-    });
-
-    // Four report-neutral knob variants, the warm-fan-out shape: one shared
-    // prefix + four resumed tails, vs four cold full runs.
-    let variants = [
-        CellKnobs::default(),
-        CellKnobs { threads: 4, ..CellKnobs::default() },
-        CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
-        CellKnobs { cross_cycle: Some(false), ..CellKnobs::default() },
-    ];
-    let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Small);
-    let workload: Arc<dyn ar_workloads::Workload> = Arc::new(WorkloadKind::Pagerank);
-    group.bench_function("fan_out_warm", |b| {
-        b.iter(|| {
-            warm_fan_out(&base, workload.clone(), &cell, prefix, &variants).expect("valid fan-out")
-        })
-    });
-    group.bench_function("fan_out_cold", |b| {
-        b.iter(|| {
-            variants
-                .iter()
-                .map(|knobs| {
-                    cell.clone()
-                        .with_knobs(*knobs)
-                        .configure(&base, workload.clone())
-                        .build()
-                        .expect("valid configuration")
-                        .run()
-                })
-                .collect::<Vec<_>>()
-        })
     });
     group.finish();
 }
@@ -344,9 +219,7 @@ criterion_group!(
     simulator,
     bench_single_runs,
     bench_kernel_throughput,
-    bench_kernel_threads,
     bench_kernel_fastforward,
-    bench_kernel_offload,
     bench_kernel_weak_scaling,
     bench_kernel_checkpoint,
     bench_workload_generation

@@ -100,48 +100,6 @@ fn event_driven_does_not_regress_past_lockstep_on_pagerank() {
     );
 }
 
-fn build_paper(threads: usize) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .threads(threads)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// The sharded kernel must not cost wall-clock on paper-scale pagerank:
-/// `threads(4)` — clamped to the host's parallelism by the builder — may not
-/// run meaningfully slower than the single-threaded event kernel, and must
-/// produce the identical report. On a multi-core host this gates the
-/// dispatch overhead of the worker pool (and any win shows up in the
-/// `kernel_threads_paper` bench group); on a single-CPU host the clamp makes
-/// the two builds identical and the gate checks exactly that degradation.
-/// The 15% head-room absorbs scheduler noise on shared runners — the gate is
-/// for pathological regressions (a mis-tuned dispatch threshold, a pool that
-/// parks and wakes per cycle), not for micro-variance.
-#[test]
-fn sharded_threads_do_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper(1).run();
-    let reports = RefCell::new(Vec::new());
-    let (serial, sharded) =
-        ab_best_of(3, || timed(build_paper(1), &reports), || timed(build_paper(4), &reports));
-    println!(
-        "paper-scale pagerank/ARF-tid: threads=1 {:?} vs threads=4 {:?} ({:.2}x)",
-        serial,
-        sharded,
-        serial.as_secs_f64() / sharded.as_secs_f64()
-    );
-    assert_reports_agree(&reports, "thread count");
-    assert!(
-        sharded.as_secs_f64() <= serial.as_secs_f64() * 1.15,
-        "sharded kernel (threads=4) regressed past the single-threaded kernel: \
-         {sharded:?} vs {serial:?}"
-    );
-}
-
 fn build_paper_ff(fast_forward: bool) -> ar_system::System {
     Simulation::builder()
         .config(ar_experiments::ExperimentScale::Full.system_config())
@@ -156,7 +114,7 @@ fn build_paper_ff(fast_forward: bool) -> ar_system::System {
 
 /// Bulk compute fast-forwarding must not cost wall-clock on paper-scale
 /// pagerank: forcing it on may not run meaningfully slower than the
-/// fast-forward-free event kernel (the PR 4 behaviour), and must produce
+/// fast-forward-free event kernel, and must produce
 /// the identical report. Pagerank's streams carry only short compute
 /// blocks, so what this gates is the overhead of the per-tick eligibility
 /// probes and the end-of-stream drain intervals — the regime where a
@@ -181,142 +139,6 @@ fn fast_forward_does_not_regress_on_paper_scale_pagerank() {
     assert!(
         on.as_secs_f64() <= off.as_secs_f64() * 1.15,
         "fast-forwarding regressed past the plain event kernel on pagerank: {on:?} vs {off:?}"
-    );
-}
-
-fn build_paper_drain(drain: bool) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .drain_fast_forward(drain)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// The offload-drain fast-forward must hold at least parity on paper-scale
-/// pagerank: forcing the planner on (its default for offloading workloads)
-/// may not run meaningfully slower than the planner-free event kernel (the
-/// PR 5 behaviour), and must produce the identical report. Pagerank's update
-/// runs are interleaved with loads and computes, so windows are scarce —
-/// exactly the regime where a planner whose arming probe costs more than the
-/// core ticks it skips would silently tax every paper run. The 15% head-room
-/// absorbs scheduler noise on shared runners.
-#[test]
-fn drain_fast_forward_does_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper_drain(false).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) = ab_best_of(
-        3,
-        || timed(build_paper_drain(false), &reports),
-        || timed(build_paper_drain(true), &reports),
-    );
-    println!(
-        "paper-scale pagerank/ARF-tid: drain fast-forward off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    assert_reports_agree(&reports, "the drain planner");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "the drain planner regressed past the plain event kernel on pagerank: {on:?} vs {off:?}"
-    );
-}
-
-fn build_paper_cc(cross_cycle: bool, threads: usize) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .cross_cycle(cross_cycle)
-        .threads(threads)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// Bounded-lag cross-cycle execution must hold at least parity on
-/// paper-scale pagerank: forcing run-ahead on (the builder default) may not
-/// run meaningfully slower than the per-cycle event kernel, and must
-/// produce the identical report — including at `threads(4)`, where
-/// run-ahead jobs dispatch over the worker pool and the timestamped replays
-/// merge across shards. Offload-heavy pagerank keeps the engines busy, so
-/// windows are scarce — exactly the regime where an arming probe that costs
-/// more than the cube ticks it skips would silently tax every paper run.
-/// The 15% head-room absorbs scheduler noise on shared runners.
-#[test]
-fn cross_cycle_does_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper_cc(false, 1).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) = ab_best_of(
-        3,
-        || timed(build_paper_cc(false, 1), &reports),
-        || timed(build_paper_cc(true, 1), &reports),
-    );
-    println!(
-        "paper-scale pagerank/ARF-tid: cross-cycle off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    // The sharded kernel with run-ahead enabled must reproduce the same
-    // bytes the serial kernels pinned above (clamped to the host's
-    // parallelism by the builder, like the sharded gate).
-    let sharded = build_paper_cc(true, 4).run();
-    assert!(sharded.completed);
-    reports.borrow_mut().push(sharded);
-    assert_reports_agree(&reports, "cross-cycle execution");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "cross-cycle run-ahead regressed past the per-cycle event kernel on pagerank: \
-         {on:?} vs {off:?}"
-    );
-}
-
-/// On the workload the drain planner is *for* — long uninterrupted MI-full
-/// `Update` runs — planned windows must hold parity with per-cycle ticking
-/// at an identical report. Parity, not speedup, is the honest contract: the
-/// window's host submissions and packet injections must still replay at
-/// their exact per-cycle timestamps for byte-identity, and the memory side
-/// (network, engines, vaults) dominates the wall clock of an offload drain,
-/// so the planner can only remove the core-cluster ticking — a real but
-/// small slice. What this gate catches is the planner *costing* time: an
-/// arming probe that re-walks streams without committing windows, or a
-/// replay path more expensive than the ticking it replaced. The
-/// `kernel_offload` bench group tracks the actual margin.
-#[test]
-fn drain_fast_forward_holds_parity_on_offload_bursts() {
-    let bursts = bench::OffloadBursts { updates_per_thread: 4_096 };
-    let build = |drain: bool| {
-        Simulation::builder()
-            .config(bench::BENCH_SCALE.system_config())
-            .named(NamedConfig::ArfTid)
-            .workload(bursts)
-            .size(SizeClass::Tiny)
-            .drain_fast_forward(drain)
-            .build()
-            .expect("valid configuration")
-            .into_system()
-    };
-    let _ = build(true).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) =
-        ab_best_of(4, || timed(build(false), &reports), || timed(build(true), &reports));
-    println!(
-        "offload bursts: drain fast-forward off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    assert!(reports.borrow()[0].updates_offloaded > 0, "the burst workload must actually offload");
-    assert_reports_agree(&reports, "the drain planner");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "the drain planner costs wall-clock on its own target workload: {on:?} vs {off:?}"
     );
 }
 

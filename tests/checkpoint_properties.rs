@@ -14,8 +14,8 @@
 //!   flow tables at arbitrary depths;
 //! * random split cycles drawn uniformly from each run's *actual* length
 //!   (measured by a full pre-run), so every snapshot lands mid-flight;
-//! * restores onto the event-driven kernel, the lock-step reference and
-//!   the sharded kernel (`threads ∈ {1, 4}`);
+//! * restores onto the event-driven kernel (with its default, forced-on
+//!   and forced-off compute fast-forward) and the lock-step reference;
 //! * stacked snapshots: re-checkpointing a restored run at a later cycle
 //!   must compose (restore-of-restore equals the straight run);
 //! * hostile bytes: truncations and field corruptions of the serialized
@@ -53,7 +53,7 @@ fn wire_checkpoint(sim: &Simulation) -> Checkpoint {
     ck
 }
 
-/// A deferred builder for one restore target (a kernel/thread-count combo).
+/// A deferred builder for one restore target (a kernel/knob combo).
 type KernelBuilder<'a> = Box<dyn Fn() -> SimulationBuilder + 'a>;
 
 fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
@@ -67,7 +67,8 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
 
 /// The main differential sweep: random geometries × workloads × split
 /// cycles, each snapshot restored through the wire form onto the default
-/// event-driven kernel, the lock-step reference and the sharded kernel.
+/// event-driven kernel (fast-forward default, forced on, forced off) and
+/// the lock-step reference.
 #[test]
 fn random_mid_run_snapshots_restore_byte_identically_across_kernels() {
     let kinds =
@@ -103,8 +104,8 @@ fn random_mid_run_snapshots_restore_byte_identically_across_kernels() {
         let restores: [(&str, KernelBuilder); 4] = [
             ("event kernel", Box::new(&build)),
             ("lock-step", Box::new(|| build().lockstep())),
-            ("threads=1", Box::new(|| build().threads(1))),
-            ("threads=4", Box::new(|| build().threads(4))),
+            ("fast_forward=true", Box::new(|| build().fast_forward(true))),
+            ("fast_forward=false", Box::new(|| build().fast_forward(false))),
         ];
         for (kernel, builder) in restores {
             let resumed =
