@@ -21,10 +21,14 @@ pub struct HmcCube {
     crossbar_latency: Cycle,
     /// Requests that found their vault queue full and are waiting to retry.
     retry: Vec<VaultRequest>,
-    /// Earliest vault-side event, folded over all vaults during the last
-    /// [`HmcCube::tick`]. Vault state only changes inside `tick`, so the
+    /// Busy-vault bitset, one bit per vault (bit `v % 64` of word `v / 64`):
+    /// set when a request enters the vault, cleared when [`HmcCube::tick`]
+    /// leaves the vault idle. Exactly the vaults with `!is_idle()`.
+    busy: Vec<u64>,
+    /// Earliest vault-side event, folded over the busy vaults during the
+    /// last [`HmcCube::tick`]. Vault state only changes inside `tick`, so the
     /// cache lets [`Component::next_wake`] stay O(1) instead of re-scanning
-    /// all 32 vaults.
+    /// the vaults.
     vault_wake: NextWake,
     rejected: u64,
 }
@@ -41,6 +45,7 @@ impl HmcCube {
             map: AddressMap::new(network_cubes, cfg.vaults, cfg.banks_per_vault),
             crossbar_latency: cfg.crossbar_latency,
             retry: Vec::new(),
+            busy: vec![0; cfg.vaults.div_ceil(64)],
             vault_wake: NextWake::Idle,
             rejected: 0,
         }
@@ -67,13 +72,14 @@ impl HmcCube {
         Ok(())
     }
 
-    /// Advances the cube to `now`. Only vaults with queued requests or due
-    /// completions are visited; an idle vault is skipped (its tick is a
-    /// no-op), so the cost of a cube cycle is proportional to the number of
-    /// busy vaults rather than the vault count. Each visited vault drains its
-    /// whole backlog in the one call (see [`Vault::tick`]), so after this
-    /// returns the cube's next event is a completion or retry — never a
-    /// "queue still busy" per-cycle re-arm.
+    /// Advances the cube to `now`. Only the vaults in the busy bitset are
+    /// visited, in ascending vault order; an idle vault's tick would be a
+    /// no-op and its wake is `Idle`, so skipping it changes neither the
+    /// completion order nor the folded wake, and the cost of a cube cycle is
+    /// proportional to the number of busy vaults rather than the vault
+    /// count. Each visited vault drains its whole backlog in the one call
+    /// (see [`Vault::tick`]), so after this returns the cube's next event is
+    /// a completion or retry — never a "queue still busy" per-cycle re-arm.
     pub fn tick(&mut self, now: Cycle) {
         // Retry requests that previously found a full vault queue.
         if !self.retry.is_empty() {
@@ -86,29 +92,55 @@ impl HmcCube {
         while let Some(req) = self.inbound.pop_ready(now) {
             self.dispatch(req);
         }
-        // Advance the busy vaults, collect due completions, and fold the
-        // earliest remaining vault event into the wake cache.
+        // Advance the busy vaults, collect due completions, fold the
+        // earliest remaining vault event into the wake cache, and retire
+        // the vaults left idle from the bitset.
         let mut vault_wake = NextWake::Idle;
-        for vault in &mut self.vaults {
-            if vault.has_queued() {
-                vault.tick(now);
-            }
-            if vault.next_completion_at().is_some_and(|at| at <= now) {
-                while let Some(resp) = vault.pop_response(now) {
-                    self.outbound.push_after(now, self.crossbar_latency, resp);
+        for w in 0..self.busy.len() {
+            let mut bits = self.busy[w];
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let vault = &mut self.vaults[v];
+                if vault.has_queued() {
+                    vault.tick(now);
+                }
+                if vault.next_completion_at().is_some_and(|at| at <= now) {
+                    while let Some(resp) = vault.pop_response(now) {
+                        self.outbound.push_after(now, self.crossbar_latency, resp);
+                    }
+                }
+                if vault.is_idle() {
+                    self.busy[w] &= !(1 << (v % 64));
+                } else {
+                    vault_wake = vault_wake.min_with(vault.next_wake(now));
                 }
             }
-            vault_wake = vault_wake.min_with(vault.next_wake(now));
         }
         self.vault_wake = vault_wake;
+        debug_assert!(self.busy_matches_scan(), "the busy-vault bitset diverged from the vaults");
     }
 
     fn dispatch(&mut self, req: VaultRequest) {
         let v = self.vault_of(req.addr);
-        if !self.vaults[v].push(req) {
+        if self.vaults[v].push(req) {
+            self.busy[v / 64] |= 1 << (v % 64);
+        } else {
             self.rejected += 1;
             self.retry.push(req);
         }
+    }
+
+    /// Whether vault `v`'s bit is set in the busy bitset.
+    fn is_busy(&self, v: usize) -> bool {
+        self.busy[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// The debug-mode oracle of the busy bitset, in the style of the
+    /// system's full-scan quiescence check: the bitset must name exactly the
+    /// vaults that are not idle.
+    fn busy_matches_scan(&self) -> bool {
+        self.vaults.iter().enumerate().all(|(v, vault)| self.is_busy(v) != vault.is_idle())
     }
 
     /// Removes one completed access that has crossed back over the crossbar
@@ -134,10 +166,11 @@ impl HmcCube {
 
     /// Returns true if the cube has no queued or in-flight work.
     pub fn is_idle(&self) -> bool {
+        debug_assert!(self.busy_matches_scan(), "the busy-vault bitset diverged from the vaults");
         self.inbound.is_empty()
             && self.outbound.is_empty()
             && self.retry.is_empty()
-            && self.vaults.iter().all(Vault::is_idle)
+            && self.busy.iter().all(|&word| word == 0)
     }
 
     /// Number of vaults.
@@ -146,8 +179,9 @@ impl HmcCube {
     }
 
     /// Serializes the cube's dynamic state: every vault, both crossbar
-    /// queues, the retry list, and the rejection counter. The vault wake
-    /// cache is derived state and is recomputed by [`HmcCube::load_state`].
+    /// queues, the retry list, and the rejection counter. The busy-vault
+    /// bitset and the vault wake cache are derived state and are recomputed
+    /// by [`HmcCube::load_state`].
     pub fn state_to_json(&self) -> Json {
         fn latency_queue<T>(queue: &LatencyQueue<T>, encode: impl Fn(&T) -> Json) -> Json {
             Json::Arr(
@@ -168,7 +202,8 @@ impl HmcCube {
     }
 
     /// Restores dynamic state onto a freshly constructed cube. `now` is the
-    /// resume cycle; the vault wake cache is recomputed by folding every
+    /// resume cycle; the busy-vault bitset is rebuilt from the restored
+    /// vaults, and the vault wake cache is recomputed by folding every
     /// restored vault's next event, exactly as [`HmcCube::tick`] folds it.
     ///
     /// # Errors
@@ -202,8 +237,12 @@ impl HmcCube {
             self.retry.push(VaultRequest::state_from_json(entry)?);
         }
         self.rejected = doc.req_u64("rejected")?;
+        self.busy.fill(0);
         let mut vault_wake = NextWake::Idle;
-        for vault in &self.vaults {
+        for (v, vault) in self.vaults.iter().enumerate() {
+            if !vault.is_idle() {
+                self.busy[v / 64] |= 1 << (v % 64);
+            }
             vault_wake = vault_wake.min_with(vault.next_wake(now));
         }
         self.vault_wake = vault_wake;
@@ -306,7 +345,8 @@ mod tests {
     fn state_json_round_trip_resumes_identically() {
         // Snapshot a cube mid-flight — requests on the crossbar, a hot vault
         // with retries pending, responses crossing back — and check the
-        // restored cube produces the same response trace and counters.
+        // restored cube rebuilds the same busy-vault set and produces the
+        // same response trace, busy set and counters.
         let cfg = HmcConfig { vault_queue_depth: 2, ..HmcConfig::default() };
         let mut cube = HmcCube::new(CubeId::new(5), &cfg, 16);
         for i in 0..24u64 {
@@ -320,13 +360,18 @@ mod tests {
             while cube.pop_response(t).is_some() {}
         }
         assert!(!cube.is_idle(), "snapshot must capture in-flight state");
+        assert!(!cube.retry.is_empty(), "snapshot must capture a vault backlog");
+        let busy_vaults = (0..cube.vaults()).filter(|&v| cube.is_busy(v)).count();
+        assert!(busy_vaults > 1, "snapshot must catch several busy vaults, got {busy_vaults}");
         let doc = Json::parse(&cube.state_to_json().render()).unwrap();
         let mut restored = HmcCube::new(CubeId::new(5), &cfg, 16);
         restored.load_state(snap_at, &doc).unwrap();
+        assert_eq!(restored.busy, cube.busy, "load_state must rebuild the busy-vault bitset");
         assert_eq!(cube.next_wake(snap_at), restored.next_wake(snap_at), "wake cache mismatch");
         for t in snap_at + 1..snap_at + 5_000 {
             cube.tick(t);
             restored.tick(t);
+            assert_eq!(cube.busy, restored.busy, "busy vaults diverge at cycle {t}");
             loop {
                 match (cube.pop_response(t), restored.pop_response(t)) {
                     (None, None) => break,

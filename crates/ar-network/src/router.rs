@@ -7,13 +7,18 @@
 //! scheme lose to the forest schemes in the paper (Section 5.2.2).
 
 use crate::dragonfly::DragonflyTopology;
-use ar_sim::{BandwidthLink, Component, EventQueue, NextWake, SchedCtx};
+use ar_sim::{BandwidthLink, Component, NextWake, SchedCtx};
 use ar_types::ids::{CubeId, NetNode, PortId};
 use ar_types::json::{Json, JsonError};
 use ar_types::packet::{ActiveKind, Packet, PacketKind};
 use ar_types::pool::{PacketPool, PacketRef};
 use ar_types::Cycle;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Route-table entry of a `(node, destination)` pair with no outgoing link.
+const NO_LINK: u32 = u32::MAX;
 
 /// Aggregate traffic statistics of the memory network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,12 +98,20 @@ impl NetworkStats {
 /// The memory network: dragonfly topology + per-link channels + per-node
 /// delivery queues.
 ///
-/// The network is event-driven: every [`BandwidthLink::send`] schedules the
-/// packet's arrival in a future-event list, [`MemoryNetwork::tick`] only
-/// touches the links with arrivals due, and [`MemoryNetwork::next_wake`]
-/// reports the next arrival so the system driver can sleep until then.
-/// Links are kept in a `BTreeMap` so same-cycle processing order is
-/// deterministic.
+/// The network is event-driven. Links live in a `Vec` in sorted
+/// `(from, to)` order, and a dense route table built once from
+/// [`DragonflyTopology::next_hop`] maps every `(node, destination)` pair to
+/// the index of the link the packet leaves on, so a hop does no lookup and
+/// no recursive routing. Every item on a link carries its global send
+/// sequence number. A link is FIFO and serializes, so its arrival cycles
+/// strictly increase; the arrival calendar therefore holds one
+/// `(head arrival cycle, head sequence number, link)` entry per non-empty
+/// link, and popping the smallest head yields packets in global
+/// `(arrival cycle, send order)` order, same-cycle ties across links
+/// included. The calendar is bounded by the link count, not by the packets
+/// in flight. [`MemoryNetwork::tick`] only touches links with arrivals due,
+/// and [`MemoryNetwork::next_wake`] reports the next arrival so the system
+/// driver can sleep until then.
 ///
 /// In-flight packets live in a [`PacketPool`]: a packet's bytes move into
 /// the pool once at [`MemoryNetwork::inject`] and out once when popped at
@@ -111,12 +124,30 @@ pub struct MemoryNetwork {
     topology: DragonflyTopology,
     /// Storage for every in-flight packet; the queues below hold handles.
     pool: PacketPool,
-    links: BTreeMap<(NetNode, NetNode), BandwidthLink<PacketRef>>,
+    /// Endpoints of every directed link, sorted; the index space of `links`.
+    link_ends: Vec<(NetNode, NetNode)>,
+    /// Every directed link's channel, in `link_ends` order. Each item is a
+    /// packet with its global send sequence number.
+    links: Vec<BandwidthLink<(u64, PacketRef)>>,
+    /// Dense route table: entry `from * nodes + dst` (dense node indices,
+    /// see [`MemoryNetwork::node_index`]) is the index of the link a packet
+    /// at `from` bound for `dst` leaves on, or [`NO_LINK`].
+    routes: Vec<u32>,
+    /// Arrival calendar: one `(arrival cycle, sequence number, link)` entry
+    /// per non-empty link, for the packet at the head of that link.
+    heads: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    /// Sequence number of the next packet sent on any link.
+    next_seq: u64,
+    /// Arrival cycle of the most recently popped link head, carried by the
+    /// checkpoint document as `arrivals_last_popped`.
+    last_arrival: Cycle,
+    /// Packets on links, i.e. sent and not yet arrived.
+    on_links: usize,
     delivered_cube: Vec<VecDeque<PacketRef>>,
     delivered_host: Vec<VecDeque<PacketRef>>,
-    /// Future-event list of packet arrivals, keyed by the link they arrive
-    /// on. One entry per in-flight packet.
-    arrivals: EventQueue<(NetNode, NetNode)>,
+    /// Cubes whose delivery queue went non-empty since the last
+    /// [`MemoryNetwork::drain_arrived_cubes`], in delivery order.
+    arrived_cubes: Vec<CubeId>,
     /// Packets sitting in a delivery queue, awaiting `pop_at_*`.
     delivered: usize,
     stats: NetworkStats,
@@ -128,24 +159,77 @@ impl MemoryNetwork {
     /// Builds the network for a topology with the given per-hop latency
     /// (router pipeline + wire) and per-link bandwidth.
     pub fn new(topology: DragonflyTopology, hop_latency: Cycle, link_bytes_per_cycle: u32) -> Self {
-        let mut links = BTreeMap::new();
-        for (a, b) in topology.directed_links() {
-            links.insert((a, b), BandwidthLink::new(hop_latency, link_bytes_per_cycle));
-        }
+        let mut link_ends = topology.directed_links();
+        link_ends.sort_unstable();
+        link_ends.dedup();
+        let links = link_ends
+            .iter()
+            .map(|_| BandwidthLink::new(hop_latency, link_bytes_per_cycle))
+            .collect();
         let delivered_cube = (0..topology.cubes()).map(|_| VecDeque::new()).collect();
         let delivered_host = (0..topology.host_ports()).map(|_| VecDeque::new()).collect();
-        MemoryNetwork {
+        let mut net = MemoryNetwork {
             topology,
             pool: PacketPool::new(),
+            link_ends,
             links,
+            routes: Vec::new(),
+            heads: BinaryHeap::new(),
+            next_seq: 0,
+            last_arrival: 0,
+            on_links: 0,
             delivered_cube,
             delivered_host,
-            arrivals: EventQueue::new(),
+            arrived_cubes: Vec::new(),
             delivered: 0,
             stats: NetworkStats::default(),
             hop_latency,
             link_bytes_per_cycle,
+        };
+        // Nodes in dense-index order, so row `i` of the table is node `i`.
+        let nodes: Vec<NetNode> = (0..net.topology.cubes())
+            .map(|c| NetNode::Cube(CubeId::new(c)))
+            .chain((0..net.topology.host_ports()).map(|p| NetNode::Host(PortId::new(p))))
+            .collect();
+        net.routes = nodes
+            .iter()
+            .flat_map(|&from| nodes.iter().map(move |&dst| (from, dst)))
+            .map(|(from, dst)| {
+                if from == dst {
+                    return NO_LINK;
+                }
+                let next = net.topology.next_hop(from, dst);
+                net.link_index(from, next).map_or(NO_LINK, |link| link as u32)
+            })
+            .collect();
+        net
+    }
+
+    /// Number of nodes (cubes plus host ports).
+    fn nodes(&self) -> usize {
+        self.topology.cubes() + self.topology.host_ports()
+    }
+
+    /// Dense index of a node: cubes first, then host ports — the same order
+    /// as [`NetNode`]'s `Ord`.
+    fn node_index(&self, node: NetNode) -> usize {
+        match node {
+            NetNode::Cube(c) => c.index(),
+            NetNode::Host(p) => self.topology.cubes() + p.index(),
         }
+    }
+
+    /// Returns true if `node` belongs to this network's topology.
+    fn has_node(&self, node: NetNode) -> bool {
+        match node {
+            NetNode::Cube(c) => c.index() < self.topology.cubes(),
+            NetNode::Host(p) => p.index() < self.topology.host_ports(),
+        }
+    }
+
+    /// Index of the directed link `a -> b`, if the topology has one.
+    fn link_index(&self, a: NetNode, b: NetNode) -> Option<usize> {
+        self.link_ends.binary_search(&(a, b)).ok()
     }
 
     /// The topology the network is built on.
@@ -197,7 +281,13 @@ impl MemoryNetwork {
         self.stats.total_latency += now.saturating_sub(injected_at);
         self.delivered += 1;
         match dst {
-            NetNode::Cube(c) => self.delivered_cube[c.index()].push_back(r),
+            NetNode::Cube(c) => {
+                let queue = &mut self.delivered_cube[c.index()];
+                if queue.is_empty() {
+                    self.arrived_cubes.push(c);
+                }
+                queue.push_back(r);
+            }
             NetNode::Host(p) => self.delivered_host[p.index()].push_back(r),
         }
     }
@@ -208,31 +298,60 @@ impl MemoryNetwork {
             self.deliver(now, r);
             return;
         }
-        let next = self.topology.next_hop(node, dst);
+        let link = self.routes[self.node_index(node) * self.nodes() + self.node_index(dst)];
+        if link == NO_LINK {
+            panic!("no link {node} -> {}", self.topology.next_hop(node, dst));
+        }
         let bytes = self.pool.size_bytes(r);
         self.pool.get_mut(r).hops += 1;
         self.stats.bit_hops += u64::from(bytes) * 8;
-        let link =
-            self.links.get_mut(&(node, next)).unwrap_or_else(|| panic!("no link {node} -> {next}"));
-        let arrives_at = link.send(now, bytes, r);
-        self.arrivals.schedule(arrives_at, (node, next));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let channel = &mut self.links[link as usize];
+        let was_idle = channel.is_idle();
+        let arrives_at = channel.send(now, bytes, (seq, r));
+        self.on_links += 1;
+        if was_idle {
+            self.heads.push(Reverse((arrives_at, seq, link)));
+        }
     }
 
     /// Advances the network to `now`: packets whose arrival is due are
     /// forwarded to the next hop or delivered. Only links with due arrivals
-    /// are visited, in arrival order (FIFO among same-cycle arrivals).
+    /// are visited, in `(arrival cycle, send order)` order.
     pub fn tick(&mut self, now: Cycle) {
-        while let Some((_, key)) = self.arrivals.pop_due(now) {
-            let link = self.links.get_mut(&key).expect("scheduled link exists");
-            let r = link.pop_arrived(now).expect("one arrival per scheduled event");
-            self.process_at(now, key.1, r);
+        loop {
+            let (link, r) = {
+                let Some(mut head) = self.heads.peek_mut() else { break };
+                let Reverse((at, _, link)) = *head;
+                if at > now {
+                    break;
+                }
+                self.last_arrival = at;
+                let channel = &mut self.links[link as usize];
+                let (_, r) = channel.pop_arrived(now).expect("the calendar holds each link's head");
+                // Re-key the entry to the link's next packet in place, or
+                // retire it once the link is empty.
+                match channel.next_arrival() {
+                    Some((next_at, &(next_seq, _))) => *head = Reverse((next_at, next_seq, link)),
+                    None => {
+                        PeekMut::pop(head);
+                    }
+                }
+                (link as usize, r)
+            };
+            self.on_links -= 1;
+            self.process_at(now, self.link_ends[link].1, r);
         }
     }
 
-    /// Returns true if a packet is waiting in the given cube's delivery
-    /// queue.
-    pub fn has_delivery_at_cube(&self, cube: CubeId) -> bool {
-        !self.delivered_cube[cube.index()].is_empty()
+    /// Removes and yields the cubes whose delivery queue went non-empty since
+    /// the last call, in delivery order. A cube appears once per transition
+    /// from empty, so a queue drained and refilled between calls is listed
+    /// twice; a caller that drains every listed queue sees each cube with a
+    /// pending delivery exactly once.
+    pub fn drain_arrived_cubes(&mut self) -> std::vec::Drain<'_, CubeId> {
+        self.arrived_cubes.drain(..)
     }
 
     /// Returns true if a packet is waiting in the given host port's delivery
@@ -263,10 +382,10 @@ impl MemoryNetwork {
     pub fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.pool.live(),
-            self.arrivals.len() + self.delivered,
+            self.on_links + self.delivered,
             "every pooled packet is on a link or in a delivery queue"
         );
-        self.arrivals.len() + self.delivered
+        self.on_links + self.delivered
     }
 
     /// Peak number of simultaneously in-flight packets over the run — the
@@ -290,7 +409,7 @@ impl MemoryNetwork {
     pub fn host_port_queueing(&self, port: PortId) -> u64 {
         let node = NetNode::Host(port);
         let cube = NetNode::Cube(self.topology.host_cube(port));
-        self.links.get(&(node, cube)).map(BandwidthLink::queueing_cycles).unwrap_or(0)
+        self.link_index(node, cube).map(|link| self.links[link].queueing_cycles()).unwrap_or(0)
     }
 
     /// Per-hop latency the network was configured with.
@@ -310,8 +429,9 @@ impl MemoryNetwork {
     /// constructed network already has them.
     pub fn state_to_json(&self) -> Json {
         let links = self
-            .links
+            .link_ends
             .iter()
+            .zip(&self.links)
             .filter(|(_, link)| {
                 link.free_at() > 0
                     || link.in_flight() > 0
@@ -321,7 +441,7 @@ impl MemoryNetwork {
             .map(|(&(a, b), link)| {
                 let in_flight = link
                     .in_flight_entries()
-                    .map(|(at, &r)| {
+                    .map(|(at, &(_, r))| {
                         Json::obj([
                             ("at", Json::from(at)),
                             ("packet", self.pool.get(r).state_to_json()),
@@ -349,11 +469,19 @@ impl MemoryNetwork {
                     .collect(),
             )
         };
-        let arrivals = self
-            .arrivals
-            .state_entries()
+        let mut pending: Vec<(Cycle, u64, usize)> = self
+            .links
+            .iter()
+            .enumerate()
+            .flat_map(|(link, channel)| {
+                channel.in_flight_entries().map(move |(at, &(seq, _))| (at, seq, link))
+            })
+            .collect();
+        pending.sort_unstable();
+        let arrivals = pending
             .into_iter()
-            .map(|(at, &(a, b))| {
+            .map(|(at, _, link)| {
+                let (a, b) = self.link_ends[link];
                 Json::obj([
                     ("at", Json::from(at)),
                     ("a", a.state_to_json()),
@@ -366,7 +494,7 @@ impl MemoryNetwork {
             ("delivered_cube", deliveries(&self.delivered_cube)),
             ("delivered_host", deliveries(&self.delivered_host)),
             ("arrivals", Json::Arr(arrivals)),
-            ("arrivals_last_popped", Json::from(self.arrivals.last_popped())),
+            ("arrivals_last_popped", Json::from(self.last_arrival)),
             ("stats", self.stats.state_to_json()),
         ])
     }
@@ -374,81 +502,131 @@ impl MemoryNetwork {
     /// Restores dynamic state onto a freshly constructed network, allocating
     /// every serialized packet into a fresh pool in deterministic order.
     ///
+    /// The `arrivals` list is the arrival calendar in pop order. Each entry
+    /// is matched to the next restored in-flight packet on the same link and
+    /// must name that packet's arrival cycle; sequence numbers are assigned
+    /// in list order, which reproduces the snapshot's same-cycle delivery
+    /// order.
+    ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] when the document is malformed or references a
-    /// link or node that does not exist in this network's topology.
+    /// Returns a [`JsonError`] when the document is malformed, references a
+    /// link or node that does not exist in this network's topology, or is
+    /// inconsistent: an arrival out of pop order, an arrival that does not
+    /// match its link's next in-flight packet, or an in-flight packet
+    /// without an arrival.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         fn link_key(doc: &Json) -> Result<(NetNode, NetNode), JsonError> {
             Ok((NetNode::state_from_json(doc.req("a")?)?, NetNode::state_from_json(doc.req("b")?)?))
         }
+        let find_link = |net: &MemoryNetwork, (a, b): (NetNode, NetNode)| {
+            net.link_index(a, b)
+                .ok_or_else(|| JsonError::state(format!("no link {a} -> {b} in this topology")))
+        };
+        let restore_packet = |net: &mut MemoryNetwork, doc: &Json| {
+            let packet = Packet::state_from_json(doc)?;
+            if !net.has_node(packet.dst) {
+                return Err(JsonError::state(format!(
+                    "packet {} is bound for {}, which is not in this topology",
+                    packet.id, packet.dst
+                )));
+            }
+            Ok(net.pool.alloc(packet))
+        };
         self.stats = NetworkStats::state_from_json(doc.req("stats")?)?;
+        // In-flight packets wait here, per link, until their arrival entry
+        // assigns them a sequence number.
+        let mut unmatched: Vec<VecDeque<(Cycle, PacketRef)>> =
+            vec![VecDeque::new(); self.links.len()];
         for entry in doc.req_array("links")? {
-            let key = link_key(entry)?;
-            let link = self.links.get_mut(&key).ok_or_else(|| {
-                JsonError::state(format!("no link {} -> {} in this topology", key.0, key.1))
-            })?;
-            link.restore_state(
+            let link = find_link(self, link_key(entry)?)?;
+            self.links[link].restore_state(
                 entry.req_u64("free_at")?,
                 entry.req_u64("bytes_transferred")?,
                 entry.req_u64("packets_transferred")?,
                 entry.req_u64("queueing_cycles")?,
             );
             for flight in entry.req_array("in_flight")? {
-                let packet = Packet::state_from_json(flight.req("packet")?)?;
-                link.restore_in_flight(flight.req_u64("at")?, self.pool.alloc(packet));
+                let at = flight.req_u64("at")?;
+                unmatched[link].push_back((at, restore_packet(self, flight.req("packet")?)?));
             }
         }
-        let restore_deliveries = |queues: &mut Vec<VecDeque<PacketRef>>,
-                                  pool: &mut PacketPool,
-                                  delivered: &mut usize,
-                                  key: &str|
-         -> Result<(), JsonError> {
+        let restore_queues = |net: &mut MemoryNetwork, key: &str, expected: usize| {
             let docs = doc.req_array(key)?;
-            if docs.len() != queues.len() {
+            if docs.len() != expected {
                 return Err(JsonError::state(format!(
-                    "{key} has {} queues but the topology provides {}",
-                    docs.len(),
-                    queues.len()
+                    "{key} has {} queues but the topology provides {expected}",
+                    docs.len()
                 )));
             }
-            for (queue, entries) in queues.iter_mut().zip(docs) {
-                queue.clear();
-                for packet in entries
+            let mut queues = Vec::with_capacity(expected);
+            for entries in docs {
+                let entries = entries
                     .as_array()
-                    .ok_or_else(|| JsonError::state(format!("{key} queue is not an array")))?
-                {
-                    queue.push_back(pool.alloc(Packet::state_from_json(packet)?));
-                    *delivered += 1;
+                    .ok_or_else(|| JsonError::state(format!("{key} queue is not an array")))?;
+                let mut queue = VecDeque::with_capacity(entries.len());
+                for packet in entries {
+                    queue.push_back(restore_packet(net, packet)?);
+                }
+                queues.push(queue);
+            }
+            Ok(queues)
+        };
+        self.delivered_cube = restore_queues(self, "delivered_cube", self.delivered_cube.len())?;
+        self.delivered_host = restore_queues(self, "delivered_host", self.delivered_host.len())?;
+        self.delivered =
+            self.delivered_cube.iter().chain(&self.delivered_host).map(VecDeque::len).sum();
+        self.arrived_cubes.clear();
+        for (c, queue) in self.delivered_cube.iter().enumerate() {
+            if !queue.is_empty() {
+                self.arrived_cubes.push(CubeId::new(c));
+            }
+        }
+        self.heads.clear();
+        self.next_seq = 0;
+        self.on_links = 0;
+        self.last_arrival = doc.req_u64("arrivals_last_popped")?;
+        let mut previous_at = 0;
+        for entry in doc.req_array("arrivals")? {
+            let at = entry.req_u64("at")?;
+            let (a, b) = link_key(entry)?;
+            let link = find_link(self, (a, b))?;
+            if at < previous_at {
+                return Err(JsonError::state(format!(
+                    "arrival at cycle {at} on link {a} -> {b} is out of pop order"
+                )));
+            }
+            previous_at = at;
+            match unmatched[link].pop_front() {
+                Some((flight_at, r)) if flight_at == at => {
+                    self.links[link].restore_in_flight(at, (self.next_seq, r));
+                    self.next_seq += 1;
+                    self.on_links += 1;
+                }
+                Some((flight_at, _)) => {
+                    return Err(JsonError::state(format!(
+                        "arrival at cycle {at} on link {a} -> {b} does not match the link's next \
+                         in-flight packet, which arrives at cycle {flight_at}"
+                    )));
+                }
+                None => {
+                    return Err(JsonError::state(format!(
+                        "arrival at cycle {at} on link {a} -> {b} has no in-flight packet"
+                    )));
                 }
             }
-            Ok(())
-        };
-        self.delivered = 0;
-        restore_deliveries(
-            &mut self.delivered_cube,
-            &mut self.pool,
-            &mut self.delivered,
-            "delivered_cube",
-        )?;
-        restore_deliveries(
-            &mut self.delivered_host,
-            &mut self.pool,
-            &mut self.delivered,
-            "delivered_host",
-        )?;
-        self.arrivals = EventQueue::new();
-        self.arrivals.restore_last_popped(doc.req_u64("arrivals_last_popped")?);
-        for entry in doc.req_array("arrivals")? {
-            self.arrivals.schedule(entry.req_u64("at")?, link_key(entry)?);
         }
-        if self.pool.live() != self.arrivals.len() + self.delivered {
+        if let Some(link) = unmatched.iter().position(|queue| !queue.is_empty()) {
+            let (a, b) = self.link_ends[link];
             return Err(JsonError::state(format!(
-                "checkpoint is inconsistent: {} pooled packets but {} arrivals + {} deliveries",
-                self.pool.live(),
-                self.arrivals.len(),
-                self.delivered
+                "link {a} -> {b} holds {} in-flight packets without an arrival",
+                unmatched[link].len()
             )));
+        }
+        for (link, channel) in self.links.iter().enumerate() {
+            if let Some((at, &(seq, _))) = channel.next_arrival() {
+                self.heads.push(Reverse((at, seq, link as u32)));
+            }
         }
         Ok(())
     }
@@ -461,7 +639,7 @@ impl Component for MemoryNetwork {
         if self.delivered > 0 {
             NextWake::At(now + 1)
         } else {
-            NextWake::from_next(self.arrivals.next_at())
+            NextWake::from_next(self.heads.peek().map(|&Reverse((at, ..))| at))
         }
     }
 
@@ -601,11 +779,11 @@ mod tests {
             );
             net.inject(0, p);
         }
-        assert!(net.has_delivery_at_cube(CubeId::new(2)));
+        // The queue went non-empty once, so the cube is listed once.
+        assert_eq!(net.drain_arrived_cubes().collect::<Vec<_>>(), vec![CubeId::new(2)]);
         let inbox: Vec<u64> =
             std::iter::from_fn(|| net.pop_at_cube(CubeId::new(2))).map(|p| p.id).collect();
         assert_eq!(inbox, vec![0, 1, 2, 3]);
-        assert!(!net.has_delivery_at_cube(CubeId::new(2)));
         assert!(net.is_quiescent(), "popping the queue must keep the in-flight count exact");
     }
 
@@ -675,6 +853,62 @@ mod tests {
         let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
         let err = restored.load_state(&doc).unwrap_err();
         assert!(err.to_string().contains("no link"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn load_state_rejects_an_arrival_on_the_wrong_link() {
+        // Snapshot a congested network, then overwrite the first calendar
+        // entry with the second: the totals still agree, but the entries no
+        // longer match the packets on their links.
+        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+        for i in 0..48u64 {
+            net.inject(0, read_req(i, i as usize % 4, (i % 15 + 1) as usize, 0));
+        }
+        for t in 0..=7 {
+            net.tick(t);
+        }
+        let mut doc = net.state_to_json();
+        let Json::Obj(fields) = &mut doc else { panic!("network state is an object") };
+        let (_, arrivals) = fields.iter_mut().find(|(key, _)| key == "arrivals").unwrap();
+        let Json::Arr(entries) = arrivals else { panic!("arrivals is an array") };
+        assert!(entries.len() >= 2, "the snapshot must hold several arrivals");
+        assert_ne!(entries[0], entries[1]);
+        entries[0] = entries[1].clone();
+        let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+        let err = restored.load_state(&doc).unwrap_err();
+        assert!(err.to_string().contains("arrival"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn same_cycle_arrivals_on_different_links_deliver_in_send_order() {
+        // Cubes 0 and 2 each send one hop to cube 1 in the same cycle, so
+        // both packets arrive in the same cycle on different links. Delivery
+        // follows send order whichever link sorts first.
+        for sources in [[2, 0], [0, 2]] {
+            let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 16);
+            for (id, src) in sources.into_iter().enumerate() {
+                let p = Packet::new(
+                    id as u64,
+                    NetNode::Cube(CubeId::new(src)),
+                    NetNode::Cube(CubeId::new(1)),
+                    PacketKind::WriteAck { req_id: id as u64, addr: Addr::new(0) },
+                    0,
+                );
+                net.inject(0, p);
+            }
+            let arrival = net.next_wake(0).cycle().expect("packets are on links");
+            net.tick(arrival);
+            let inbox: Vec<(u64, NetNode)> = std::iter::from_fn(|| net.pop_at_cube(CubeId::new(1)))
+                .map(|p| (p.id, p.src))
+                .collect();
+            let expected: Vec<(u64, NetNode)> = sources
+                .into_iter()
+                .enumerate()
+                .map(|(id, src)| (id as u64, NetNode::Cube(CubeId::new(src))))
+                .collect();
+            assert_eq!(inbox, expected, "both packets arrive at cycle {arrival}, in send order");
+            assert!(net.is_quiescent());
+        }
     }
 
     #[test]

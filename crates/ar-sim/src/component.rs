@@ -67,7 +67,7 @@
 
 use crate::events::EventQueue;
 use ar_types::Cycle;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// When a component next has internal work to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,23 +167,15 @@ pub trait Component {
 /// memory response, a drained vault waiting for nothing at all) return
 /// [`NextWake::Idle`] and leave the calendar entirely; whoever delivers the
 /// event re-arms them with [`Scheduler::wake`] (fire at the next processed
-/// cycle) or [`Scheduler::schedule`] (fire at a known future cycle). If an
-/// armed event becomes moot — the work was re-routed, the component was
-/// drained by another path — [`Scheduler::cancel`] drops every pending entry
-/// for the key without touching other keys.
+/// cycle) or [`Scheduler::schedule`] (fire at a known future cycle).
 #[derive(Debug)]
 pub struct Scheduler<K> {
-    queue: EventQueue<(K, u32)>,
-    /// Current wake-entry generation per key. [`Scheduler::cancel`] bumps a
-    /// key's generation; entries carrying an older generation are discarded
-    /// when they come due. Keys that were never cancelled are not stored
-    /// (generation 0).
-    generations: BTreeMap<K, u32>,
+    queue: EventQueue<K>,
 }
 
 impl<K: Ord + Copy> Default for Scheduler<K> {
     fn default() -> Self {
-        Scheduler { queue: EventQueue::new(), generations: BTreeMap::new() }
+        Scheduler { queue: EventQueue::new() }
     }
 }
 
@@ -193,15 +185,9 @@ impl<K: Ord + Copy> Scheduler<K> {
         Self::default()
     }
 
-    /// The current generation of `key` (0 until first cancelled).
-    fn generation(&self, key: K) -> u32 {
-        self.generations.get(&key).copied().unwrap_or(0)
-    }
-
     /// Schedules a wake-up of component `key` at cycle `at`.
     pub fn schedule(&mut self, at: Cycle, key: K) {
-        let generation = self.generation(key);
-        self.queue.schedule(at, (key, generation));
+        self.queue.schedule(at, key);
     }
 
     /// Schedules a wake-up from a component's [`NextWake`] request
@@ -231,72 +217,34 @@ impl<K: Ord + Copy> Scheduler<K> {
         self.schedule(0, key);
     }
 
-    /// Cancels every pending wake-up of `key`.
-    ///
-    /// Cancellation is exact per key and lazy in implementation: the entries
-    /// stay queued but carry a stale generation and are dropped when they
-    /// come due, so cancelling is O(log n) rather than a heap rebuild. A
-    /// subsequent [`Scheduler::schedule`] / [`Scheduler::wake`] for the same
-    /// key starts a fresh generation and is unaffected by the cancellation.
-    ///
-    /// [`Scheduler::next_cycle`] stays conservative: it may still report the
-    /// cycle of a cancelled entry, in which case the driver pops an empty due
-    /// set and moves on — spurious wake cycles are harmless by the
-    /// [`Component`] contract.
-    ///
-    /// ```
-    /// use ar_sim::Scheduler;
-    ///
-    /// let mut sched: Scheduler<&str> = Scheduler::new();
-    /// sched.schedule(5, "core");
-    /// sched.schedule(9, "core");
-    /// sched.schedule(5, "dram");
-    /// sched.cancel("core");
-    /// assert_eq!(sched.pop_due(10).into_iter().collect::<Vec<_>>(), vec!["dram"]);
-    /// sched.schedule(12, "core"); // re-arming after cancel works
-    /// assert!(sched.pop_due(12).contains("core"));
-    /// ```
-    pub fn cancel(&mut self, key: K) {
-        *self.generations.entry(key).or_insert(0) += 1;
-    }
-
-    /// The earliest cycle with a scheduled wake-up. Conservative: the entry
-    /// may have been cancelled, in which case popping that cycle yields no
-    /// due components.
+    /// The earliest cycle with a scheduled wake-up.
     pub fn next_cycle(&self) -> Option<Cycle> {
         self.queue.next_at()
     }
 
     /// Removes every wake-up scheduled at or before `now` and returns the
-    /// (deduplicated) set of components to wake. Cancelled entries are
-    /// dropped silently.
+    /// (deduplicated) set of components to wake.
     pub fn pop_due(&mut self, now: Cycle) -> BTreeSet<K> {
         let mut due = BTreeSet::new();
-        while let Some((_, (key, generation))) = self.queue.pop_due(now) {
-            if generation == self.generation(key) {
-                due.insert(key);
-            }
+        while let Some((_, key)) = self.queue.pop_due(now) {
+            due.insert(key);
         }
         due
     }
 
     /// Allocation-free variant of [`Scheduler::pop_due`] for the hot driver
     /// loop: fills `due` with the sorted, deduplicated keys scheduled at or
-    /// before `now` (clearing it first). Cancelled entries are dropped
-    /// silently.
+    /// before `now` (clearing it first).
     pub fn pop_due_into(&mut self, now: Cycle, due: &mut Vec<K>) {
         due.clear();
-        while let Some((_, (key, generation))) = self.queue.pop_due(now) {
-            if generation == self.generation(key) {
-                due.push(key);
-            }
+        while let Some((_, key)) = self.queue.pop_due(now) {
+            due.push(key);
         }
         due.sort_unstable();
         due.dedup();
     }
 
-    /// Number of scheduled wake-ups (duplicates and cancelled entries
-    /// included).
+    /// Number of scheduled wake-ups (duplicates included).
     pub fn len(&self) -> usize {
         self.queue.len()
     }
@@ -380,40 +328,6 @@ mod tests {
         sched.wake(2);
         assert_eq!(sched.next_cycle(), Some(7));
         assert!(sched.pop_due(7).contains(&2));
-    }
-
-    #[test]
-    fn cancel_drops_only_the_cancelled_key() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(3, 1);
-        sched.schedule(3, 1);
-        sched.schedule(3, 2);
-        sched.schedule(8, 1);
-        sched.cancel(1);
-        assert_eq!(sched.pop_due(3).into_iter().collect::<Vec<_>>(), vec![2]);
-        assert!(sched.pop_due(8).is_empty(), "the later entry of key 1 is cancelled too");
-        // Re-arming after a cancel starts a fresh generation.
-        sched.schedule(9, 1);
-        assert!(sched.pop_due(9).contains(&1));
-        // Cancelling twice and interleaving schedules keeps keys precise.
-        sched.schedule(12, 1);
-        sched.cancel(1);
-        sched.cancel(1);
-        sched.schedule(12, 2);
-        let due = sched.pop_due(12);
-        assert!(!due.contains(&1));
-        assert!(due.contains(&2));
-    }
-
-    #[test]
-    fn cancelled_entries_are_dropped_by_pop_due_into() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(4, 5);
-        sched.schedule(4, 6);
-        sched.cancel(5);
-        let mut due = Vec::new();
-        sched.pop_due_into(4, &mut due);
-        assert_eq!(due, vec![6]);
     }
 
     #[test]

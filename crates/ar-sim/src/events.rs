@@ -110,30 +110,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// The cycle of the most recently popped event (the queue's notion of
-    /// "now", which `schedule` clamps to).
-    pub fn last_popped(&self) -> Cycle {
-        self.last_popped
-    }
-
-    /// Visits pending events ordered by (cycle, scheduling order) — exactly
-    /// the order `pop_next` would deliver them. Checkpoint snapshots persist
-    /// this order and replay it through `schedule` on a queue primed with
-    /// [`EventQueue::restore_last_popped`]; fresh sequence numbers assigned in
-    /// replay order preserve same-cycle FIFO delivery.
-    pub fn state_entries(&self) -> Vec<(Cycle, &E)> {
-        let mut pending: Vec<&Scheduled<E>> = self.heap.iter().collect();
-        pending.sort_by_key(|s| (s.at, s.seq));
-        pending.into_iter().map(|s| (s.at, &s.event)).collect()
-    }
-
-    /// Restores the "now" watermark from a checkpoint. Call before replaying
-    /// the serialized events so `schedule`'s past-clamp behaves identically
-    /// to the snapshotted queue.
-    pub fn restore_last_popped(&mut self, last_popped: Cycle) {
-        self.last_popped = last_popped;
-    }
 }
 
 #[cfg(test)]

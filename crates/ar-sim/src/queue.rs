@@ -166,9 +166,9 @@ impl<T> BandwidthLink<T> {
         arrives_at
     }
 
-    /// Arrival cycle of the oldest in-flight packet, if any.
-    pub fn next_arrival_at(&self) -> Option<Cycle> {
-        self.in_flight.front().map(|(at, _)| *at)
+    /// The oldest in-flight packet with its arrival cycle, if any.
+    pub fn next_arrival(&self) -> Option<(Cycle, &T)> {
+        self.in_flight.front().map(|(at, item)| (*at, item))
     }
 
     /// Removes and returns one packet that has fully arrived by `now`.
@@ -278,7 +278,7 @@ mod tests {
         let mut link: BandwidthLink<u32> = BandwidthLink::new(3, 16);
         // 64-byte packet takes 4 cycles to serialize + 3 latency = arrives at 7.
         assert_eq!(link.send(0, 64, 1), 7);
-        assert_eq!(link.next_arrival_at(), Some(7));
+        assert_eq!(link.next_arrival(), Some((7, &1)));
         assert_eq!(link.pop_arrived(6), None);
         assert_eq!(link.pop_arrived(7), Some(1));
         assert_eq!(link.bytes_transferred(), 64);

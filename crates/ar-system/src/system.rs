@@ -83,6 +83,24 @@ enum SysKey {
     Ipc,
 }
 
+impl SysKey {
+    /// The cube index of a `Cube` key.
+    fn cube(self) -> Option<usize> {
+        match self {
+            SysKey::Cube(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The cube index of an `Engine` key.
+    fn engine(self) -> Option<usize> {
+        match self {
+            SysKey::Engine(c) => Some(c),
+            _ => None,
+        }
+    }
+}
+
 /// Why a vault access was issued (used to dispatch its completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VaultPurpose {
@@ -227,6 +245,9 @@ pub struct System {
     are_spare: Vec<AreOutput>,
     /// Reusable vault-completion buffer.
     completion_scratch: Vec<(usize, ar_hmc::VaultResponse)>,
+    /// Reusable visit list of the per-cube HMC sub-phases: the sorted,
+    /// deduplicated indices of the cubes a sub-phase touches.
+    cube_visits: Vec<usize>,
     /// First network cycle the run loop has not yet processed: 0 on a fresh
     /// system, advanced by every [`System::advance`] epilogue, restored by
     /// [`System::load_state`]. The next run (full or prefix) resumes here.
@@ -328,6 +349,7 @@ impl System {
             are_scratch: Vec::new(),
             are_spare: Vec::new(),
             completion_scratch: Vec::new(),
+            cube_visits: Vec::new(),
             label: String::new(),
             workload: String::new(),
             map,
@@ -1549,32 +1571,34 @@ impl System {
     /// One HMC-side network cycle, in four sub-phases with the same order as
     /// the original serial loop: the network tick, the per-cube delivery /
     /// engine sub-phase, the per-cube vault-drain sub-phase, and the host
-    /// ports. Cubes are visited in ascending index order, and the engine
-    /// outputs of each per-cube sub-phase are applied in that same order once
-    /// every cube has been visited.
+    /// ports. Each per-cube sub-phase visits only the cubes with work (the
+    /// lock-step kernel, `due == None`, visits every cube) in ascending index
+    /// order, and its engine outputs are applied in that same order once
+    /// every visit is done.
     fn step_hmc(&mut self, now: Cycle, due: Option<&[SysKey]>, hub: &mut ObserverHub<'_>) {
-        let is_due = |key: SysKey| due.is_none_or(|set| set.binary_search(&key).is_ok());
         let ratio = self.cfg.core_cycles_per_network_cycle();
         let mut ctx = SchedCtx::new(now);
         // Split-borrow the backend once.
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
+        let cubes = hmc.cubes.len();
 
-        if is_due(SysKey::Network) {
+        if due.is_none_or(|set| set.binary_search(&SysKey::Network).is_ok()) {
             hmc.network.wake(now, &mut ctx);
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
         }
 
         // 1. Packets delivered at cubes, and the engines' own pipelines: one
-        // visit per cube with a pending delivery or a due engine. Each
-        // engine's packet handling and pipeline tick accumulate into one
-        // recycled output buffer, so the hot path allocates nothing.
+        // visit per cube whose delivery queue went non-empty (the network
+        // lists them) or whose engine is due. Each engine's packet handling
+        // and pipeline tick accumulate into one recycled output buffer, so
+        // the hot path allocates nothing.
+        let mut visits = std::mem::take(&mut self.cube_visits);
+        let arrived = hmc.network.drain_arrived_cubes().map(CubeId::index);
+        Self::fill_cube_visits(&mut visits, cubes, due, SysKey::engine, arrived);
         let mut are_outputs = std::mem::take(&mut self.are_scratch);
-        for c in 0..hmc.cubes.len() {
+        for &c in &visits {
             let cube_id = CubeId::new(c);
-            if !hmc.network.has_delivery_at_cube(cube_id) && !is_due(SysKey::Engine(c)) {
-                continue;
-            }
             let mut out = self.are_spare.pop().unwrap_or_default();
             while let Some(packet) = hmc.network.pop_at_cube(cube_id) {
                 match &packet.kind {
@@ -1613,17 +1637,18 @@ impl System {
         // 2. Advance the cubes and collect vault completions: one visit per
         // cube that is due — or was stimulated earlier this cycle (sub-phase
         // 1 pushes vault requests whose crossbar latency may be zero).
+        let stimulated = self.armq.iter().filter_map(|&key| key.cube());
+        Self::fill_cube_visits(&mut visits, cubes, due, SysKey::cube, stimulated);
         let mut vault_completions = std::mem::take(&mut self.completion_scratch);
-        for (c, cube) in hmc.cubes.iter_mut().enumerate() {
-            if !is_due(SysKey::Cube(c)) && !self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
-                continue;
-            }
+        for &c in &visits {
+            let cube = &mut hmc.cubes[c];
             cube.wake(now, &mut ctx);
             while let Some(resp) = cube.pop_response(now) {
                 vault_completions.push((c, resp));
             }
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
         }
+        self.cube_visits = visits;
         for (c, resp) in vault_completions.drain(..) {
             match self.vault_purpose.remove(&resp.id) {
                 Some(VaultPurpose::Normal { txn }) => {
@@ -1723,6 +1748,29 @@ impl System {
             }
         }
         self.host_scratch = scratch;
+    }
+
+    /// Fills `visits` with the cubes a per-cube HMC sub-phase touches: every
+    /// cube under the lock-step kernel (`due == None`), otherwise the
+    /// sorted, deduplicated union of `extra` and the cubes `pick` finds among
+    /// the due keys.
+    fn fill_cube_visits(
+        visits: &mut Vec<usize>,
+        cubes: usize,
+        due: Option<&[SysKey]>,
+        pick: fn(SysKey) -> Option<usize>,
+        extra: impl Iterator<Item = usize>,
+    ) {
+        visits.clear();
+        match due {
+            None => visits.extend(0..cubes),
+            Some(due) => {
+                visits.extend(extra);
+                visits.extend(due.iter().filter_map(|&key| pick(key)));
+                visits.sort_unstable();
+                visits.dedup();
+            }
+        }
     }
 
     /// Applies collected engine outputs (network injections, operand vault
